@@ -176,17 +176,24 @@ def compute_mask(model, thermal) -> np.ndarray:
     """Run the model on an 8-bit thermal image; unit-form mask at its extent.
 
     Inputs whose extent differs from the model's are resampled to the model
-    extent for the forward pass and the mask is resampled back.
+    extent for the forward pass and the mask is resampled back. The pass is
+    gradient-free (`grad=False`), so it leaves no activations on the model.
+    A mask with NaN or infinite values (corrupt weights) raises
+    ValidationError instead of reaching 8-bit output.
     """
     t = as_gray8(thermal)
     height, width = t.shape
     native = (model.cfg.height, model.cfg.width)
     unit = t.astype(np.float64) / 255.0
-    if (height, width) == native:
-        return model.forward(unit, training=False)
-    small = np.clip(resize_bilinear(unit, *native), 0.0, 1.0)
-    mask = model.forward(small, training=False)
-    return np.clip(resize_bilinear(mask, height, width), 0.0, 1.0)
+    resample = (height, width) != native
+    if resample:
+        unit = np.clip(resize_bilinear(unit, *native), 0.0, 1.0)
+    mask = model.forward(unit, training=False, grad=False)
+    if not np.isfinite(mask).all():
+        raise ValidationError("mask stage: the model produced non-finite values")
+    if resample:
+        mask = np.clip(resize_bilinear(mask, height, width), 0.0, 1.0)
+    return mask
 
 
 def full_pipeline(thermal, model) -> np.ndarray:

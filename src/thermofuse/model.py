@@ -22,6 +22,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -128,9 +129,9 @@ class Block:
             for i, spec in enumerate(specs)
         ]
 
-    def forward(self, x, training: bool = False, rng=None):
+    def forward(self, x, training: bool = False, rng=None, grad: bool = True):
         for layer in self.layers:
-            x = layer.forward(x, training=training, rng=rng)
+            x = layer.forward(x, training=training, rng=rng, grad=grad)
         return x
 
     def backward(self, dout):
@@ -183,6 +184,13 @@ class Model:
     pass `last_audit` holds (label, extent) for every labelled node and
     `activation(name)` exposes cached intermediates; `backward` then
     accumulates parameter gradients, handling the skip and tiling fan-out.
+
+    `forward(..., grad=False)` is the gradient-free pass for inference: it
+    returns the same output bit for bit and fills `last_audit`, but no
+    layer keeps a backward cache, each node's output is dropped as soon as
+    its last consumer has run, and the cache of any earlier pass is
+    cleared, so `activation` and `backward` raise StateError until the
+    next `grad=True` forward. `grad` is independent of `training`.
     """
 
     def __init__(self, cfg: ModelConfig, nodes: list[Node]):
@@ -198,8 +206,12 @@ class Model:
             name: arr for node in nodes if node.block
             for name, arr in node.block.param_items()
         }
+        # Node name -> names of the inputs it is the last consumer of.
+        self._frees: dict[str, list[str]] = {}
+        last_consumer = {src: node.name for node in nodes for src in node.inputs}
+        for src, consumer in last_consumer.items():
+            self._frees.setdefault(consumer, []).append(src)
         self._cache: dict[str, np.ndarray] = {}
-        self._unbatch = 0
         self.last_audit: list[tuple[str, tuple[int, ...]]] = []
 
     # -- introspection -------------------------------------------------
@@ -239,23 +251,18 @@ class Model:
 
     def activation(self, name: str) -> np.ndarray:
         if name not in self._cache:
-            raise StateError(f"no cached activation for {name!r}; run forward first")
+            raise StateError(
+                f"no cached activation for {name!r}; run forward with grad=True first"
+            )
         return self._cache[name]
 
     # -- execution -----------------------------------------------------
 
     def _to_batch(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 2:
-            self._unbatch = 2
-            x = x[None, :, :, None]
-        elif x.ndim == 3:
-            self._unbatch = 3
-            x = x[None]
-        elif x.ndim == 4:
-            self._unbatch = 0
-        else:
+        if x.ndim not in (2, 3, 4):
             raise ShapeError(f"expected an image or image batch, got shape {x.shape}")
+        x = _batched(x)
         n, h, w, c = x.shape
         if (h, w) != (self.cfg.height, self.cfg.width) or c != 1:
             raise ShapeError(
@@ -264,11 +271,19 @@ class Model:
             )
         return x
 
-    def forward(self, x, training: bool | None = None, rng=None, overrides=None):
-        """Run the graph; `overrides` maps node names to injected outputs."""
+    def forward(
+        self, x, training: bool | None = None, rng=None, overrides=None,
+        grad: bool = True,
+    ):
+        """Run the graph; `overrides` maps node names to injected outputs.
+
+        `grad=False` runs without backward caches (see the class docstring).
+        """
         training = self.training if training is None else training
+        rank = np.ndim(x)
         x = self._to_batch(x)
         n = x.shape[0]
+        self._cache = {}
         out: dict[str, np.ndarray] = {"input": x}
         audit: list[tuple[str, tuple[int, ...]]] = []
         for node in self.nodes:
@@ -283,7 +298,7 @@ class Model:
                         f"override for {node.name!r} has shape {y.shape}"
                     )
             elif node.op == "block":
-                y = node.block.forward(out[node.inputs[0]], training, rng)
+                y = node.block.forward(out[node.inputs[0]], training, rng, grad)
             elif node.op == "slice":
                 src = out[node.inputs[0]]
                 y = src[:, :, :, node.channel : node.channel + 1].copy()
@@ -292,24 +307,21 @@ class Model:
             out[node.name] = y
             if node.table_label is not None:
                 audit.append((node.table_label, tuple(y.shape[1:])))
-        self._cache = out
+            if not grad:
+                for src in self._frees.get(node.name, ()):
+                    del out[src]
+        if grad:
+            self._cache = out
         self.last_audit = audit
-        y = out[self.nodes[-1].name]
-        if self._unbatch == 2:
-            return y[0, :, :, 0]
-        if self._unbatch == 3:
-            return y[0]
-        return y
+        return _unbatched(out[self.nodes[-1].name], rank)
 
     def backward(self, dout) -> np.ndarray:
         """Backpropagate from the final output; returns d(input)."""
         if not self._cache:
-            raise StateError("backward needs a preceding forward pass")
+            raise StateError("backward needs a preceding forward pass with grad=True")
         dout = np.asarray(dout, dtype=np.float64)
-        if self._unbatch == 2:
-            dout = dout[None, :, :, None]
-        elif self._unbatch == 3:
-            dout = dout[None]
+        rank = dout.ndim
+        dout = _batched(dout)
         final = self.nodes[-1].name
         if dout.shape != self._cache[final].shape:
             raise ShapeError(
@@ -341,11 +353,7 @@ class Model:
                 gb = g[tuple(index)].copy()
                 self._accumulate(grads, a, ga)
                 self._accumulate(grads, b, gb)
-        if self._unbatch == 2:
-            return dinput[0, :, :, 0]
-        if self._unbatch == 3:
-            return dinput[0]
-        return dinput
+        return _unbatched(dinput, rank)
 
     @staticmethod
     def _accumulate(grads: dict, name: str, g: np.ndarray):
@@ -353,6 +361,24 @@ class Model:
             grads[name] += g
         else:
             grads[name] = g
+
+
+def _batched(x: np.ndarray) -> np.ndarray:
+    """(h, w) or (h, w, c) -> a batch of one; rank-4 arrays pass through."""
+    if x.ndim == 2:
+        return x[None, :, :, None]
+    if x.ndim == 3:
+        return x[None]
+    return x
+
+
+def _unbatched(y: np.ndarray, rank: int) -> np.ndarray:
+    """Undo `_batched` for an array that came in with rank `rank`."""
+    if rank == 2:
+        return y[0, :, :, 0]
+    if rank == 3:
+        return y[0]
+    return y
 
 
 class _Builder:
@@ -539,12 +565,15 @@ def save_weights(model: Model, path) -> None:
 
 
 def read_weights_file(path) -> dict[str, np.ndarray]:
-    """Parse a weights file into name -> float64 array, order preserved."""
+    """Parse a weights file into name -> float32 array, order preserved.
+
+    The arrays are read-only views of the file's bytes, not copies.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = memoryview(fh.read())
     pos = 0
 
-    def take(count: int) -> bytes:
+    def take(count: int) -> memoryview:
         nonlocal pos
         if pos + count > len(data):
             raise FormatError("truncated weights file")
@@ -560,14 +589,17 @@ def read_weights_file(path) -> dict[str, np.ndarray]:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = str(take(name_len), "utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("tensor name is not valid UTF-8") from None
         if name in tensors:
             raise FormatError(f"duplicate tensor name {name!r}")
         (rank,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
-        size = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        values = np.frombuffer(take(4 * size), dtype="<f4")
-        tensors[name] = values.astype(np.float64).reshape(shape)
+        # Python ints: the product of eight u32 extents overflows int64.
+        values = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4")
+        tensors[name] = values.reshape(shape)
     if pos != len(data):
         raise FormatError("trailing bytes after last tensor")
     return tensors
@@ -600,6 +632,8 @@ def load_weights(path, extents: tuple[int, int] | None = None) -> Model:
         if surplus:
             detail.append(f"unexpected {surplus[0]!r} and {len(surplus) - 1} more")
         raise FormatError("weights do not match the architecture: " + "; ".join(detail))
+    # In-place assignment casts each float32 view once, into the model's own
+    # arrays, so no second float64 copy of the parameters is ever made.
     for name, arr in tensors.items():
         target = expected[name]
         if arr.shape != target.shape:

@@ -3,8 +3,13 @@ normalization, activations and dropout, each with an analytic backward pass.
 
 Activations come both as plain functions and as layer objects. Layers
 operate on batched arrays shaped (batch, height, width, channels) in
-float64 and cache whatever the backward pass needs; `backward` must be
-called after the matching `forward`.
+float64. Every `forward` takes `grad`: with `grad=True` (the default) the
+layer caches whatever the backward pass needs, and `backward` must be
+called after that forward. With `grad=False` it runs the same arithmetic,
+returns a bit-identical result, keeps nothing and drops what an earlier
+forward kept; call `backward` only after a `grad=True` forward. `grad` is
+independent of `training`: an inference-mode forward can still be
+differentiated.
 
 Convolutions use SAME zero padding. With stride 1 that pads one pixel on
 every side; with stride 2 (even input extents required) the output is
@@ -159,7 +164,7 @@ class Conv2DLayer:
         self.grads: dict[str, np.ndarray] = {}
         self._cache = None
 
-    def forward(self, x, training: bool = False, rng=None):
+    def forward(self, x, training: bool = False, rng=None, grad: bool = True):
         x = _check_batched(x)
         n, h, w, c = x.shape
         if c != self.in_channels:
@@ -175,7 +180,9 @@ class Conv2DLayer:
         col_flat = cols.reshape(n * out_h * out_w, KERNEL * KERNEL * c)
         w_flat = self.params["w"].reshape(KERNEL * KERNEL * c, self.filters)
         y = col_flat @ w_flat + self.params["b"]
-        self._cache = (col_flat, xp.shape, (pt, pl), (n, h, w, c), (out_h, out_w))
+        self._cache = (
+            (col_flat, xp.shape, (pt, pl), (n, h, w, c), (out_h, out_w)) if grad else None
+        )
         return y.reshape(n, out_h, out_w, self.filters)
 
     def backward(self, dout):
@@ -207,7 +214,7 @@ class Conv2DTransposeLayer:
         self.grads: dict[str, np.ndarray] = {}
         self._cache = None
 
-    def forward(self, x, training: bool = False, rng=None):
+    def forward(self, x, training: bool = False, rng=None, grad: bool = True):
         x = _check_batched(x)
         n, h, w, c = x.shape
         if c != self.in_channels:
@@ -221,7 +228,7 @@ class Conv2DTransposeLayer:
         dcol = (x_flat @ w_flat.T).reshape(n, h, w, KERNEL, KERNEL, f)
         yp = _col2im(dcol, (n, 2 * h + 1, 2 * w + 1, f), 2)
         y = yp[:, : 2 * h, : 2 * w, :] + self.params["b"]
-        self._cache = (x_flat, (n, h, w, c))
+        self._cache = (x_flat, (n, h, w, c)) if grad else None
         return y
 
     def backward(self, dout):
@@ -264,7 +271,7 @@ class BatchNormLayer:
         self.grads: dict[str, np.ndarray] = {}
         self._cache = None
 
-    def forward(self, x, training: bool = False, rng=None):
+    def forward(self, x, training: bool = False, rng=None, grad: bool = True):
         x = _check_batched(x)
         if x.shape[-1] != self.channels:
             raise ShapeError(f"expected {self.channels} channels, got {x.shape[-1]}")
@@ -281,7 +288,7 @@ class BatchNormLayer:
             var = self.buffers["moving_var"]
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mean) * inv_std
-        self._cache = (xhat, inv_std, training)
+        self._cache = (xhat, inv_std, training) if grad else None
         return self.params["gamma"] * xhat + self.params["beta"]
 
     def backward(self, dout):
@@ -304,10 +311,11 @@ class ReLULayer:
         self.grads: dict[str, np.ndarray] = {}
         self._mask = None
 
-    def forward(self, x, training: bool = False, rng=None):
+    def forward(self, x, training: bool = False, rng=None, grad: bool = True):
         x = np.asarray(x, dtype=np.float64)
-        self._mask = x >= 0.0
-        return np.where(self._mask, x, 0.0)
+        mask = x >= 0.0
+        self._mask = mask if grad else None
+        return np.where(mask, x, 0.0)
 
     def backward(self, dout):
         return np.where(self._mask, dout, 0.0)
@@ -320,10 +328,11 @@ class LeakyReLULayer:
         self.grads: dict[str, np.ndarray] = {}
         self._mask = None
 
-    def forward(self, x, training: bool = False, rng=None):
+    def forward(self, x, training: bool = False, rng=None, grad: bool = True):
         x = np.asarray(x, dtype=np.float64)
-        self._mask = x >= 0.0
-        return np.where(self._mask, x, self.alpha * x)
+        mask = x >= 0.0
+        self._mask = mask if grad else None
+        return np.where(mask, x, self.alpha * x)
 
     def backward(self, dout):
         return np.where(self._mask, dout, self.alpha * dout)
@@ -335,9 +344,10 @@ class SigmoidLayer:
         self.grads: dict[str, np.ndarray] = {}
         self._out = None
 
-    def forward(self, x, training: bool = False, rng=None):
-        self._out = sigmoid(np.asarray(x, dtype=np.float64))
-        return self._out
+    def forward(self, x, training: bool = False, rng=None, grad: bool = True):
+        out = sigmoid(np.asarray(x, dtype=np.float64))
+        self._out = out if grad else None
+        return out
 
     def backward(self, dout):
         return dout * self._out * (1.0 - self._out)
@@ -355,7 +365,7 @@ class DropoutLayer:
         self.grads: dict[str, np.ndarray] = {}
         self._mask = None
 
-    def forward(self, x, training: bool = False, rng=None):
+    def forward(self, x, training: bool = False, rng=None, grad: bool = True):
         x = np.asarray(x, dtype=np.float64)
         if not training or self.rate == 0.0:
             self._mask = None
@@ -363,8 +373,9 @@ class DropoutLayer:
         if rng is None:
             raise StateError("dropout in training mode needs an rng")
         keep = 1.0 - self.rate
-        self._mask = (rng.random(x.shape) >= self.rate) / keep
-        return x * self._mask
+        mask = (rng.random(x.shape) >= self.rate) / keep
+        self._mask = mask if grad else None
+        return x * mask
 
     def backward(self, dout):
         if self._mask is None:
@@ -380,4 +391,4 @@ def _glorot_uniform(shape, rng) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     if rng is None:
         rng = np.random.default_rng(0)
-    return rng.uniform(-limit, limit, size=shape).astype(np.float64)
+    return rng.uniform(-limit, limit, size=shape)

@@ -193,3 +193,18 @@ def test_metrics_partial_flags_usage_error(tmp_path, capsys):
     rc = main(["metrics", "--a", str(tmp_path / "a.pgm")])
     assert rc == 1
     assert "usage error" in capsys.readouterr().err
+
+
+def test_infer_with_nan_weights_writes_no_mask(tmp_path, capsys):
+    from thermofuse.model import ModelConfig, build_model, save_weights
+
+    model = build_model(ModelConfig(dwf=1, height=32, width=32), seed=1)
+    model.parameters()["output/conv/b"][...] = np.nan
+    weights = tmp_path / "nan.tofw"
+    save_weights(model, weights)
+    thermal = tmp_path / "t.pgm"
+    write_pgm(np.full((32, 32), 90, dtype=np.uint8), thermal)
+    out = tmp_path / "m.pgm"
+    assert main(["infer", str(weights), str(thermal), "--out", str(out)]) == 2
+    assert "mask stage" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -188,3 +190,39 @@ def test_compute_mask_and_full_pipeline():
     fused = fusion.full_pipeline(thermal, model)
     assert fused.shape == (32, 32)
     assert fused.dtype == np.uint8
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_compute_mask_keeps_no_backward_caches():
+    # Guard against inference growing training-time caches again: the
+    # gradient-free pass must allocate at most a third of what a forward
+    # that keeps every activation and layer cache does (about 0.12 here).
+    from thermofuse.model import ModelConfig, build_model
+
+    model = build_model(ModelConfig(dwf=1, height=256, width=256), seed=0)
+    thermal = np.random.default_rng(31).integers(0, 256, size=(256, 256), dtype=np.uint8)
+    inference = _traced_peak(lambda: fusion.compute_mask(model, thermal))
+    caching = _traced_peak(
+        lambda: model.forward(thermal / 255.0, training=False, grad=True)
+    )
+    assert inference <= caching / 3
+
+
+def test_compute_mask_rejects_non_finite_output():
+    from thermofuse.model import ModelConfig, build_model
+
+    model = build_model(ModelConfig(dwf=1, height=32, width=32), seed=2)
+    model.parameters()["output/conv/b"][...] = np.nan
+    thermal = np.zeros((32, 32), dtype=np.uint8)
+    with pytest.raises(ValidationError, match="mask stage"):
+        fusion.compute_mask(model, thermal)
+    with pytest.raises(ValidationError, match="mask stage"):
+        fusion.compute_mask(model, np.zeros((40, 48), dtype=np.uint8))

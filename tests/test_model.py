@@ -255,6 +255,79 @@ def test_directional_derivative_over_input():
     assert abs(fd - analytic) / abs(analytic) < 1e-3
 
 
+# -- gradient-free forward ---------------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (32, 32, 1), (2, 32, 32, 1)])
+def test_no_grad_forward_matches_grad_forward(shape):
+    model = small_model()
+    x = np.random.default_rng(8).uniform(size=shape)
+    want = model.forward(x, training=False)
+    audit = list(model.last_audit)
+    got = model.forward(x, training=False, grad=False)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert model.last_audit == audit
+
+
+def test_no_grad_forward_with_overrides():
+    model = small_model()
+    x = np.random.default_rng(9).uniform(size=(32, 32))
+    over = {"hl1": np.full((16, 16, 1), 0.25), "ll2_blk6": np.full((8, 8, 1), -1.0)}
+    want = model.forward(x, overrides=over)
+    got = model.forward(x, overrides=over, grad=False)
+    assert np.array_equal(got, want)
+
+
+def test_no_grad_forward_keeps_nothing_for_backward():
+    model = small_model()
+    x = np.random.default_rng(10).uniform(size=(32, 32))
+    y = model.forward(x)
+    model.forward(x, grad=False)
+    with pytest.raises(StateError):
+        model.backward(np.ones_like(y))
+    with pytest.raises(StateError):
+        model.activation("op1")
+    for block in model.blocks:
+        for layer in block.layers:
+            assert all(
+                getattr(layer, attr, None) is None for attr in ("_cache", "_mask", "_out")
+            )
+
+
+def test_no_grad_forward_leaves_later_gradients_unchanged():
+    rng = np.random.default_rng(11)
+    x = rng.uniform(size=(2, 32, 32, 1))
+    dout = rng.normal(size=(2, 32, 32, 1))
+
+    def grads_and_dinput(model):
+        model.forward(x)
+        dx = model.backward(dout)
+        return model.gradients(), dx
+
+    want, want_dx = grads_and_dinput(small_model())
+    model = small_model()
+    model.forward(rng.uniform(size=(32, 32)), grad=False)
+    got, got_dx = grads_and_dinput(model)
+    assert np.array_equal(got_dx, want_dx)
+    assert set(got) == set(want)
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+
+
+def test_backward_rank_follows_dout():
+    model = small_model()
+    x = np.random.default_rng(12).uniform(size=(32, 32))
+    y = model.forward(x[None, ..., None])
+    assert model.backward(np.ones(y.shape[1:3])).shape == (32, 32)
+    assert model.backward(np.ones(y.shape[1:])).shape == (32, 32, 1)
+    assert model.backward(np.ones(y.shape)).shape == (1, 32, 32, 1)
+    with pytest.raises(ShapeError):
+        model.backward(np.ones((16, 32)))
+    with pytest.raises(ShapeError):
+        model.backward(np.ones((2, 32, 32, 1)))
+
+
 # -- weights file format ----------------------------------------------
 
 
@@ -323,6 +396,34 @@ def test_read_weights_file_corruption(tmp_path):
     bad.write_bytes(data + b"\x00")
     with pytest.raises(FormatError):
         read_weights_file(bad)
+
+
+def test_read_weights_file_huge_extents(tmp_path):
+    # eight u32 extents of 0xFFFFFFFF: the element count overflows int64
+    path = tmp_path / "huge.tofw"
+    header = b"TOFW" + struct.pack("<II", 1, 1) + struct.pack("<H", 1) + b"x"
+    path.write_bytes(header + struct.pack("<B8I", 8, *[0xFFFFFFFF] * 8) + bytes(16))
+    with pytest.raises(FormatError, match="truncated"):
+        read_weights_file(path)
+
+
+def test_read_weights_file_name_not_utf8(tmp_path):
+    path = tmp_path / "name.tofw"
+    header = b"TOFW" + struct.pack("<II", 1, 1) + struct.pack("<H", 2) + b"\xff\xfe"
+    path.write_bytes(header + struct.pack("<BI", 1, 1) + bytes(4))
+    with pytest.raises(FormatError, match="UTF-8"):
+        read_weights_file(path)
+
+
+def test_read_weights_file_yields_float32_views(tmp_path):
+    model = small_model()
+    path = tmp_path / "w.tofw"
+    save_weights(model, path)
+    tensors = read_weights_file(path)
+    for name, arr in model.state_items():
+        got = tensors[name]
+        assert got.dtype == np.float32 and not got.flags.writeable
+        assert np.array_equal(got, arr.astype(np.float32))
 
 
 def test_read_weights_file_duplicate_name(tmp_path):

@@ -106,17 +106,9 @@ class Block:
         self.in_channels = in_channels
         self.filters = filters
         self.activation = _BLOCK_ACT[kind]
-        self.normalization = normalization
-        self.dropout = dropout
 
         specs = [
-            LayerSpec(
-                conv_kind,
-                stride=stride,
-                filters=filters,
-                normalization=normalization,
-                dropout=dropout,
-            ),
+            LayerSpec(conv_kind, stride=stride, filters=filters),
             LayerSpec(self.activation),
         ]
         if normalization:

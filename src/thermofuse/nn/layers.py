@@ -14,8 +14,17 @@ differentiated.
 Convolutions use SAME zero padding. With stride 1 that pads one pixel on
 every side; with stride 2 (even input extents required) the output is
 exactly half the input and the single leftover pad row/column goes at the
-bottom/right. Transpose convolutions are the adjoint of the stride-2 SAME
-convolution and double both spatial extents exactly.
+bottom/right.
+
+All convolution arithmetic is one loop over the nine kernel taps; tap
+(i, j) of a padded input xp is the strided view xp[:, s*p + i, s*q + j].
+`correlate` sums tap(xp) @ w[i, j], `correlate_adjoint` is its adjoint in
+xp and `kernel_grad` its gradient in w. A convolution's forward, dX and dW
+are those three, and it caches its padded input. A transpose convolution
+is the adjoint of the stride-2 convolution, doubling both extents exactly,
+so it runs them the other way round: forward is the adjoint, dX is
+correlate over the bottom/right-padded dy, dW is the kernel gradient of
+(padded dy, x), and it caches x.
 """
 
 from __future__ import annotations
@@ -27,6 +36,8 @@ import numpy as np
 from ..errors import ShapeError, StateError
 
 KERNEL = 3
+# Values per gathered tap matrix in `correlate` (512 KB in float64).
+_BAND_ELEMENTS = 1 << 16
 
 LAYER_KINDS = frozenset(
     {
@@ -37,8 +48,6 @@ LAYER_KINDS = frozenset(
         "relu",
         "sigmoid",
         "dropout",
-        "concat",
-        "slice",
     }
 )
 
@@ -48,16 +57,13 @@ class LayerSpec:
     """Declarative description of one layer in a network graph.
 
     `filters` only matters for the convolution kinds, `stride` likewise
-    (transpose convolutions are always stride 2). `concat` and `slice` are
-    structural: they have no parameters and no layer object.
+    (transpose convolutions are always stride 2).
     """
 
     kind: str
     kernel: int = KERNEL
     stride: int = 1
     filters: int = 0
-    normalization: bool = False
-    dropout: bool = False
 
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
@@ -85,9 +91,8 @@ def make_layer(spec: LayerSpec, in_channels: int, rng=None):
         return LeakyReLULayer()
     if spec.kind == "sigmoid":
         return SigmoidLayer()
-    if spec.kind == "dropout":
-        return DropoutLayer()
-    raise ShapeError(f"{spec.kind!r} is structural, not an instantiable layer")
+    # LayerSpec admits no other kind.
+    return DropoutLayer()
 
 
 def relu(x):
@@ -125,26 +130,60 @@ def _same_pads(extent: int, stride: int) -> tuple[int, int]:
     return 0, 1
 
 
-def _im2col(xp: np.ndarray, stride: int, out_h: int, out_w: int) -> np.ndarray:
-    n, _, _, c = xp.shape
-    cols = np.empty((n, out_h, out_w, KERNEL, KERNEL, c), dtype=np.float64)
+def _taps(xp: np.ndarray, stride: int, out_h: int, out_w: int):
+    """Yield (i, j, tap): the (batch, out_h, out_w, channels) strided view
+    of `xp` whose (p, q) element is xp[:, stride*p + i, stride*q + j]."""
     for i in range(KERNEL):
         for j in range(KERNEL):
-            cols[:, :, :, i, j, :] = xp[
+            yield i, j, xp[
                 :, i : i + stride * out_h : stride, j : j + stride * out_w : stride, :
             ]
-    return cols
 
 
-def _col2im(dcol: np.ndarray, padded_shape, stride: int) -> np.ndarray:
-    n, out_h, out_w = dcol.shape[:3]
-    dxp = np.zeros(padded_shape, dtype=np.float64)
-    for i in range(KERNEL):
-        for j in range(KERNEL):
-            dxp[
-                :, i : i + stride * out_h : stride, j : j + stride * out_w : stride, :
-            ] += dcol[:, :, :, i, j, :]
+def correlate(
+    xp: np.ndarray, w: np.ndarray, stride: int, out_h: int, out_w: int
+) -> np.ndarray:
+    """y = sum of tap(xp) @ w[i, j], one band of output rows at a time: a
+    band's taps are gathered into one GEMM operand of at most
+    _BAND_ELEMENTS values, whatever the image size."""
+    n, c, f = xp.shape[0], xp.shape[3], w.shape[3]
+    band = max(1, _BAND_ELEMENTS // (n * out_w * max(c, f)))
+    y = np.zeros((n, out_h, out_w, f))
+    for r in range(0, out_h, band):
+        y_band = y[:, r : r + band]
+        for i, j, tap in _taps(xp[:, stride * r :], stride, y_band.shape[1], out_w):
+            y_band += (tap.reshape(-1, c) @ w[i, j]).reshape(y_band.shape)
+    return y
+
+
+def correlate_adjoint(
+    dy: np.ndarray, w: np.ndarray, stride: int, padded_shape
+) -> np.ndarray:
+    """Adjoint of `correlate` in xp: tap(dxp) += dy @ w[i, j].T for every tap."""
+    dxp = np.zeros(padded_shape)
+    n, out_h, out_w, f = dy.shape
+    dy_flat = dy.reshape(n * out_h * out_w, f)
+    for i, j, tap in _taps(dxp, stride, out_h, out_w):
+        tap += (dy_flat @ w[i, j].T).reshape(tap.shape)
     return dxp
+
+
+def kernel_grad(xp: np.ndarray, dy: np.ndarray, stride: int) -> np.ndarray:
+    """Gradient of `correlate` in w: dw[i, j] = tap(xp).T @ dy."""
+    n, out_h, out_w, f = dy.shape
+    c = xp.shape[3]
+    dy_flat = dy.reshape(n * out_h * out_w, f)
+    dw = np.empty((KERNEL, KERNEL, c, f))
+    for i, j, tap in _taps(xp, stride, out_h, out_w):
+        dw[i, j] = tap.reshape(n * out_h * out_w, c).T @ dy_flat
+    return dw
+
+
+def _check_dout(dout, shape) -> np.ndarray:
+    dy = np.asarray(dout, dtype=np.float64)
+    if dy.shape != shape:
+        raise ShapeError(f"gradient shape {dy.shape} does not match output {shape}")
+    return dy
 
 
 class Conv2DLayer:
@@ -174,27 +213,19 @@ class Conv2DLayer:
         s = self.stride
         pt, pb = _same_pads(h, s)
         pl, pr = _same_pads(w, s)
-        out_h, out_w = h // s, w // s
         xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-        cols = _im2col(xp, s, out_h, out_w)
-        col_flat = cols.reshape(n * out_h * out_w, KERNEL * KERNEL * c)
-        w_flat = self.params["w"].reshape(KERNEL * KERNEL * c, self.filters)
-        y = col_flat @ w_flat + self.params["b"]
-        self._cache = (
-            (col_flat, xp.shape, (pt, pl), (n, h, w, c), (out_h, out_w)) if grad else None
-        )
-        return y.reshape(n, out_h, out_w, self.filters)
+        y = correlate(xp, self.params["w"], s, h // s, w // s)
+        y += self.params["b"]
+        self._cache = (xp, (pt, pl), (h, w)) if grad else None
+        return y
 
     def backward(self, dout):
-        col_flat, padded_shape, (pt, pl), (n, h, w, c), (out_h, out_w) = self._cache
-        dflat = np.asarray(dout, dtype=np.float64).reshape(
-            n * out_h * out_w, self.filters
-        )
-        w_flat = self.params["w"].reshape(KERNEL * KERNEL * c, self.filters)
-        self.grads["w"] = (col_flat.T @ dflat).reshape(self.params["w"].shape)
-        self.grads["b"] = dflat.sum(axis=0)
-        dcol = (dflat @ w_flat.T).reshape(n, out_h, out_w, KERNEL, KERNEL, c)
-        dxp = _col2im(dcol, padded_shape, self.stride)
+        xp, (pt, pl), (h, w) = self._cache
+        s = self.stride
+        dy = _check_dout(dout, (xp.shape[0], h // s, w // s, self.filters))
+        self.grads["w"] = kernel_grad(xp, dy, s)
+        self.grads["b"] = dy.sum(axis=(0, 1, 2))
+        dxp = correlate_adjoint(dy, self.params["w"], s, xp.shape)
         return dxp[:, pt : pt + h, pl : pl + w, :]
 
 
@@ -221,31 +252,21 @@ class Conv2DTransposeLayer:
             raise ShapeError(
                 f"expected {self.in_channels} input channels, got {c}"
             )
-        f = self.filters
-        x_flat = x.reshape(n * h * w, c)
-        # Scatter through the adjoint of a stride-2 SAME conv (2h,2w,f)->(h,w,c).
-        w_flat = self.params["w"].reshape(KERNEL * KERNEL * f, c)
-        dcol = (x_flat @ w_flat.T).reshape(n, h, w, KERNEL, KERNEL, f)
-        yp = _col2im(dcol, (n, 2 * h + 1, 2 * w + 1, f), 2)
+        yp = correlate_adjoint(
+            x, self.params["w"], 2, (n, 2 * h + 1, 2 * w + 1, self.filters)
+        )
         y = yp[:, : 2 * h, : 2 * w, :] + self.params["b"]
-        self._cache = (x_flat, (n, h, w, c)) if grad else None
+        self._cache = x if grad else None
         return y
 
     def backward(self, dout):
-        x_flat, (n, h, w, c) = self._cache
-        f = self.filters
-        dy = np.asarray(dout, dtype=np.float64)
-        if dy.shape != (n, 2 * h, 2 * w, f):
-            raise ShapeError(
-                f"gradient shape {dy.shape} does not match output {(n, 2*h, 2*w, f)}"
-            )
+        x = self._cache
+        n, h, w, _ = x.shape
+        dy = _check_dout(dout, (n, 2 * h, 2 * w, self.filters))
         dyp = np.pad(dy, ((0, 0), (0, 1), (0, 1), (0, 0)))
-        cols = _im2col(dyp, 2, h, w)
-        cols_flat = cols.reshape(n * h * w, KERNEL * KERNEL * f)
-        w_flat = self.params["w"].reshape(KERNEL * KERNEL * f, c)
-        self.grads["w"] = (cols_flat.T @ x_flat).reshape(self.params["w"].shape)
+        self.grads["w"] = kernel_grad(dyp, x, 2)
         self.grads["b"] = dy.sum(axis=(0, 1, 2))
-        return (cols_flat @ w_flat).reshape(n, h, w, c)
+        return correlate(dyp, self.params["w"], 2, h, w)
 
 
 class BatchNormLayer:

@@ -18,17 +18,6 @@ from .errors import ShapeError
 Tensor = np.ndarray
 
 
-def zeros(shape) -> Tensor:
-    """All-zero tensor of the given shape; every extent must be >= 1."""
-    shape = tuple(int(s) for s in shape)
-    if len(shape) == 0:
-        raise ShapeError("tensor shape must have at least one extent")
-    for s in shape:
-        if s < 1:
-            raise ShapeError(f"tensor extents must be >= 1, got {shape}")
-    return np.zeros(shape, dtype=np.float64)
-
-
 def _numpy_axis(t: Tensor, axis: int) -> int:
     if t.ndim == 4:
         if not 1 <= axis <= 3:
@@ -59,14 +48,3 @@ def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
             )
     return np.concatenate([a, b], axis=np_axis)
 
-
-def slice_channels(t: Tensor) -> list[Tensor]:
-    """Split along the last axis into single-channel tensors.
-
-    A k-channel tensor yields k tensors whose last extent is 1; channel i
-    of the input equals output i.
-    """
-    t = np.asarray(t)
-    if t.ndim < 1 or t.shape[-1] < 1:
-        raise ShapeError(f"cannot slice channels of shape {t.shape}")
-    return [t[..., i : i + 1].copy() for i in range(t.shape[-1])]

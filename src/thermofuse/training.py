@@ -48,10 +48,14 @@ def train_model(
     for epoch in range(1, epochs + 1):
         order = rng_shuffle.permutation(count)
         total = 0.0
-        for start in range(0, count, batch_size):
+        for step, start in enumerate(range(0, count, batch_size), start=1):
             chosen = order[start : start + batch_size]
             predicted = model.forward(inputs[chosen], training=True, rng=rng_dropout)
             loss, dloss = logcosh_loss(predicted, targets[chosen])
+            if not np.isfinite(loss):
+                raise ValidationError(
+                    f"training loss is not finite at epoch {epoch}, step {step}"
+                )
             model.backward(dloss)
             optimizer.step(params, model.gradients())
             total += loss * chosen.size

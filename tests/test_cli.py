@@ -208,3 +208,22 @@ def test_infer_with_nan_weights_writes_no_mask(tmp_path, capsys):
     assert main(["infer", str(weights), str(thermal), "--out", str(out)]) == 2
     assert "mask stage" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_non_finite_loss_is_error_two(tmp_path, capsys):
+    # A learning rate of 1e300 sends the weights to ~1e300 after the first
+    # Adam step, so the second batch's loss is NaN.
+    data = tmp_path / "data"
+    main(["synth", "--count", "1", "--seed", "5", "--out", str(data)])
+    weights = tmp_path / "w.tofw"
+    rc = main(
+        ["train", str(data / "annotations.json"), "--out", str(weights),
+         "--seed", "1", "--epochs", "2", "--batch-size", "1", "--dwf", "1",
+         "--crop-size", "32", "--per-box", "1", "--lr", "1e300"]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "training loss is not finite at epoch 1, step 2" in err
+    assert "Traceback" not in err
+    assert not weights.exists()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,26 @@ def test_conv_transpose_is_adjoint_of_strided_conv():
     lhs = float((conv.forward(x) * y).sum())
     rhs = float((x * convt.forward(y)).sum())
     assert abs(lhs - rhs) < 1e-9
+
+
+def test_conv_working_set_is_a_few_inputs():
+    # The per-tap loop needs the padded input, the output and one tap's
+    # product; an im2col column buffer alone is 9x the input.
+    rng = np.random.default_rng(8)
+    layer = Conv2DLayer(16, 16, stride=1, rng=rng)
+    x = rng.normal(size=(1, 128, 128, 16))
+    tracemalloc.start()
+    try:
+        layer.forward(x, grad=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * x.nbytes
+
+    layer.forward(x, grad=True)
+    padded_bytes = 130 * 130 * 16 * x.itemsize
+    cached = [v for v in layer._cache if isinstance(v, np.ndarray)]
+    assert cached and max(a.nbytes for a in cached) <= padded_bytes
 
 
 def test_batchnorm_training_statistics():
@@ -210,4 +232,4 @@ def test_make_layer_dispatch():
     assert isinstance(make_layer(LayerSpec(kind="dropout"), 4), DropoutLayer)
     for structural in ("concat", "slice"):
         with pytest.raises(ShapeError):
-            make_layer(LayerSpec(kind=structural), 4)
+            LayerSpec(kind=structural)

@@ -5,19 +5,6 @@ from thermofuse import ShapeError
 from thermofuse import tensor
 
 
-def test_zeros_shape_and_dtype():
-    t = tensor.zeros((3, 4))
-    assert t.shape == (3, 4)
-    assert t.dtype == np.float64
-    assert not t.any()
-
-
-@pytest.mark.parametrize("shape", [(), (0, 3), (2, -1)])
-def test_zeros_rejects_bad_shapes(shape):
-    with pytest.raises(ShapeError):
-        tensor.zeros(shape)
-
-
 def test_concat_rows_and_cols_unbatched():
     a = np.arange(6.0).reshape(2, 3)
     b = np.arange(6.0, 12.0).reshape(2, 3)
@@ -57,23 +44,3 @@ def test_concat_rejects_mismatches():
     with pytest.raises(ShapeError):
         tensor.concat(np.ones((2, 0)), np.ones((2, 0)), axis=1)
 
-
-def test_slice_channels_round_trip():
-    rng = np.random.default_rng(0)
-    t = rng.normal(size=(4, 5, 3))
-    parts = tensor.slice_channels(t)
-    assert len(parts) == 3
-    for i, part in enumerate(parts):
-        assert part.shape == (4, 5, 1)
-        assert np.array_equal(part[..., 0], t[..., i])
-    rebuilt = parts[0]
-    for part in parts[1:]:
-        rebuilt = tensor.concat(rebuilt, part, axis=3)
-    assert np.array_equal(rebuilt, t)
-
-
-def test_slice_channels_copies():
-    t = np.ones((2, 2, 2))
-    parts = tensor.slice_channels(t)
-    parts[0][:] = 7.0
-    assert t[0, 0, 0] == 1.0

@@ -172,8 +172,8 @@ def cmd_train(args) -> int:
     if settings["seed"] is None:
         raise _UsageError("--seed is required (flag or config file)")
     for key in ("epochs", "batch_size", "lr", "dwf", "crop_size", "per_box"):
-        if settings[key] <= 0:
-            raise ValidationError(f"{key} must be positive, got {settings[key]}")
+        if not 0 < settings[key] < float("inf"):  # false for NaN as well
+            raise ValidationError(f"{key} must be positive and finite, got {settings[key]}")
 
     samples = read_annotations(args.annotations)
     if not samples:

@@ -42,8 +42,15 @@ def to_unit(img) -> np.ndarray:
 
 
 def to_uint8(values) -> np.ndarray:
-    """Unit-interval grid -> 8-bit image via round(255 * value)."""
-    scaled = round_half_away(np.asarray(values, dtype=np.float64) * 255.0)
+    """Unit-interval grid -> 8-bit image via round(255 * value), clipped.
+
+    Raises ValidationError on a NaN or infinite value, which has no 8-bit
+    counterpart.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValidationError("8-bit conversion: input has non-finite values")
+    scaled = round_half_away(values * 255.0)
     return np.clip(scaled, 0, 255).astype(np.uint8)
 
 

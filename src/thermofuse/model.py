@@ -30,7 +30,15 @@ import numpy as np
 
 from . import tensor
 from .errors import FormatError, ShapeError, StateError
-from .nn.layers import LayerSpec, make_layer
+from .nn.layers import (
+    BatchNormLayer,
+    Conv2DLayer,
+    Conv2DTransposeLayer,
+    DropoutLayer,
+    LeakyReLULayer,
+    ReLULayer,
+    SigmoidLayer,
+)
 
 # Planes produced by slicing one DWT stage: approximation plus three details.
 # Equals the base filter count dwf at the published dwf=4; kept fixed so the
@@ -40,19 +48,14 @@ SUBBANDS = 4
 WEIGHTS_MAGIC = b"TOFW"
 WEIGHTS_VERSION = 1
 
-_BLOCK_CONV = {
-    "same": ("conv", 1),
-    "half": ("conv", 2),
-    "double": ("conv_transpose", 2),
-    "ll": ("conv", 1),
-    "final": ("conv", 1),
-}
-_BLOCK_ACT = {
-    "same": "leaky_relu",
-    "half": "leaky_relu",
-    "double": "leaky_relu",
-    "ll": "relu",
-    "final": "sigmoid",
+# Block kind -> (convolution stride, None for the stride-2 transpose
+# convolution; activation layer).
+_BLOCK_KINDS = {
+    "same": (1, LeakyReLULayer),
+    "half": (2, LeakyReLULayer),
+    "double": (None, LeakyReLULayer),
+    "ll": (1, ReLULayer),
+    "final": (1, SigmoidLayer),
 }
 
 
@@ -85,7 +88,8 @@ class Block:
     `kind` picks the convolution and activation: "same" / "half" / "double"
     are stride-1 conv / stride-2 conv / stride-2 transpose conv with leaky
     ReLU, "ll" is a stride-1 conv with plain ReLU, and "final" is a stride-1
-    conv with sigmoid.
+    conv with sigmoid. `layers` runs in that order; `conv` and `bn` (None
+    without normalization) are the layers that hold state.
     """
 
     def __init__(
@@ -98,28 +102,20 @@ class Block:
         dropout: bool = True,
         normalization: bool = True,
     ):
-        if kind not in _BLOCK_CONV:
+        if kind not in _BLOCK_KINDS:
             raise ShapeError(f"unknown block kind {kind!r}")
-        conv_kind, stride = _BLOCK_CONV[kind]
+        stride, activation = _BLOCK_KINDS[kind]
         self.name = name
-        self.kind = kind
-        self.in_channels = in_channels
-        self.filters = filters
-        self.activation = _BLOCK_ACT[kind]
-
-        specs = [
-            LayerSpec(conv_kind, stride=stride, filters=filters),
-            LayerSpec(self.activation),
-        ]
-        if normalization:
-            specs.append(LayerSpec("batchnorm"))
+        if stride is None:
+            self.conv = Conv2DTransposeLayer(in_channels, filters, rng)
+        else:
+            self.conv = Conv2DLayer(in_channels, filters, stride, rng)
+        self.bn = BatchNormLayer(filters) if normalization else None
+        self.layers = [self.conv, activation()]
+        if self.bn is not None:
+            self.layers.append(self.bn)
         if dropout:
-            specs.append(LayerSpec("dropout"))
-        self.specs = tuple(specs)
-        self.layers = [
-            make_layer(spec, in_channels if i == 0 else filters, rng)
-            for i, spec in enumerate(specs)
-        ]
+            self.layers.append(DropoutLayer())
 
     def forward(self, x, training: bool = False, rng=None, grad: bool = True):
         for layer in self.layers:
@@ -131,28 +127,12 @@ class Block:
             dout = layer.backward(dout)
         return dout
 
-    def _tagged_layers(self):
-        for spec, layer in zip(self.specs, self.layers):
-            if spec.kind in ("conv", "conv_transpose"):
-                yield "conv", layer
-            elif spec.kind == "batchnorm":
-                yield "bn", layer
-
-    def param_items(self):
-        for tag, layer in self._tagged_layers():
-            for pname, arr in layer.params.items():
-                yield f"{self.name}/{tag}/{pname}", arr
-
-    def grad_items(self):
-        for tag, layer in self._tagged_layers():
-            for pname, arr in layer.grads.items():
-                yield f"{self.name}/{tag}/{pname}", arr
-
-    def buffer_items(self):
-        for tag, layer in self._tagged_layers():
-            if tag == "bn":
-                for bname, arr in layer.buffers.items():
-                    yield f"{self.name}/{tag}/{bname}", arr
+    def stores(self):
+        """Yield ('<node>/conv', conv) and ('<node>/bn', bn): the layers
+        whose arrays make up the model's state, under their name prefix."""
+        yield f"{self.name}/conv", self.conv
+        if self.bn is not None:
+            yield f"{self.name}/bn", self.bn
 
 
 @dataclass
@@ -188,16 +168,14 @@ class Model:
     def __init__(self, cfg: ModelConfig, nodes: list[Node]):
         self.cfg = cfg
         self.nodes = nodes
-        self.training = False
-        self._by_name: dict[str, Node] = {}
+        seen: set[str] = set()
         for node in nodes:
-            if node.name in self._by_name:
+            if node.name in seen:
                 raise StateError(f"duplicate node name {node.name!r}")
-            self._by_name[node.name] = node
-        self._params = {
-            name: arr for node in nodes if node.block
-            for name, arr in node.block.param_items()
-        }
+            seen.add(node.name)
+        # (name prefix, layer) for every stateful layer, in graph order.
+        self._stores = [s for node in nodes if node.block for s in node.block.stores()]
+        self._params = self._named("params")
         # Node name -> names of the inputs it is the last consumer of.
         self._frees: dict[str, list[str]] = {}
         last_consumer = {src: node.name for node in nodes for src in node.inputs}
@@ -208,12 +186,6 @@ class Model:
 
     # -- introspection -------------------------------------------------
 
-    def node(self, name: str) -> Node:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise StateError(f"no node named {name!r}") from None
-
     @property
     def blocks(self) -> list[Block]:
         return [n.block for n in self.nodes if n.block is not None]
@@ -223,20 +195,22 @@ class Model:
         return self._params
 
     def gradients(self) -> dict[str, np.ndarray]:
-        grads = {}
-        for node in self.nodes:
-            if node.block is not None:
-                grads.update(node.block.grad_items())
-        return grads
+        """The last backward pass's gradients, keyed like `parameters`."""
+        return self._named("grads")
 
     def state_items(self) -> list[tuple[str, np.ndarray]]:
         """Parameters plus batchnorm running statistics, in graph order."""
-        items: list[tuple[str, np.ndarray]] = []
-        for node in self.nodes:
-            if node.block is not None:
-                items.extend(node.block.param_items())
-                items.extend(node.block.buffer_items())
-        return items
+        return list(self._named("params", "buffers").items())
+
+    def _named(self, *attrs: str) -> dict[str, np.ndarray]:
+        """'<prefix>/<key>' -> array from the `attrs` dicts of every stateful
+        layer, layer by layer (a convolution has no `buffers`)."""
+        return {
+            f"{prefix}/{key}": arr
+            for prefix, layer in self._stores
+            for attr in attrs
+            for key, arr in getattr(layer, attr, {}).items()
+        }
 
     def parameter_count(self) -> int:
         return sum(arr.size for arr in self._params.values())
@@ -264,14 +238,13 @@ class Model:
         return x
 
     def forward(
-        self, x, training: bool | None = None, rng=None, overrides=None,
+        self, x, training: bool = False, rng=None, overrides=None,
         grad: bool = True,
     ):
         """Run the graph; `overrides` maps node names to injected outputs.
 
         `grad=False` runs without backward caches (see the class docstring).
         """
-        training = self.training if training is None else training
         rank = np.ndim(x)
         x = self._to_batch(x)
         n = x.shape[0]
@@ -374,8 +347,7 @@ def _unbatched(y: np.ndarray, rank: int) -> np.ndarray:
 
 
 class _Builder:
-    def __init__(self, cfg: ModelConfig, rng):
-        self.cfg = cfg
+    def __init__(self, rng):
         self.rng = rng
         self.nodes = [Node("input", "input")]
         self.channels = {"input": 1}
@@ -450,8 +422,14 @@ def build_model(cfg: ModelConfig | None = None, seed: int = 0, rng=None) -> Mode
     cfg = ModelConfig() if cfg is None else cfg
     if rng is None:
         rng = np.random.default_rng(seed)
+    return _assemble(cfg, rng)
+
+
+def _assemble(cfg: ModelConfig, rng) -> Model:
+    """The network graph for `cfg`; convolution weights are drawn from
+    `rng`, or start at zero when it is None."""
     dwf = cfg.dwf
-    g = _Builder(cfg, rng)
+    g = _Builder(rng)
 
     # Input encoder: five stride-2 stages down to extent/32, then decode
     # back up to half resolution with a slice-ready depth.
@@ -602,7 +580,8 @@ def load_weights(path, extents: tuple[int, int] | None = None) -> Model:
 
     The base filter count is recovered from the input-stage kernel; spatial
     extents are free at load time (every layer is extent-agnostic) and
-    default to 128x128.
+    default to 128x128. No initial weights are drawn: the graph starts at
+    zero and every array is then overwritten from the file.
     """
     tensors = read_weights_file(path)
     first = tensors.get("inp/conv/w")
@@ -613,7 +592,7 @@ def load_weights(path, extents: tuple[int, int] | None = None) -> Model:
         cfg = ModelConfig(dwf=int(first.shape[3]), height=height, width=width)
     except ShapeError as exc:
         raise FormatError(f"weights file implies an invalid model: {exc}") from exc
-    model = build_model(cfg)
+    model = _assemble(cfg, None)
     expected = dict(model.state_items())
     missing = sorted(set(expected) - set(tensors))
     surplus = sorted(set(tensors) - set(expected))

@@ -5,12 +5,10 @@ from .layers import (
     Conv2DLayer,
     Conv2DTransposeLayer,
     DropoutLayer,
-    LayerSpec,
     LeakyReLULayer,
     ReLULayer,
     SigmoidLayer,
     leaky_relu,
-    make_layer,
     relu,
     sigmoid,
 )
@@ -25,7 +23,6 @@ __all__ = [
     "Conv2DTransposeLayer",
     "DropoutLayer",
     "GradCheckReport",
-    "LayerSpec",
     "LeakyReLULayer",
     "NonFiniteGradientError",
     "ReLULayer",
@@ -34,7 +31,6 @@ __all__ = [
     "gradient_check_fn",
     "leaky_relu",
     "logcosh_loss",
-    "make_layer",
     "relu",
     "sigmoid",
 ]

@@ -35,9 +35,6 @@ class GradCheckReport:
     def passed(self) -> bool:
         return all(e.max_rel_err <= self.tolerance for e in self.entries)
 
-    def failures(self) -> list[GradCheckEntry]:
-        return [e for e in self.entries if e.max_rel_err > self.tolerance]
-
     def __str__(self) -> str:
         lines = [
             f"{'ok' if e.max_rel_err <= self.tolerance else 'FAIL'} "
@@ -93,7 +90,6 @@ def gradient_check(
     def objective() -> float:
         return float(np.sum(layer.forward(x, training=training) * projection))
 
-    layer.forward(x, training=training)
     dx = layer.backward(projection)
     param_grads = {name: layer.grads[name].copy() for name in layer.params}
 

@@ -1,5 +1,8 @@
 """Layer vocabulary: 3x3 convolutions, transpose convolutions, batch
 normalization, activations and dropout, each with an analytic backward pass.
+Their constants (leaky slope, batch-norm eps and momentum, dropout rate) are
+the module-level values below, not constructor arguments. Convolutions take
+an rng for their initial weights; without one the weights start at zero.
 
 Activations come both as plain functions and as layer objects. Layers
 operate on batched arrays shaped (batch, height, width, channels) in
@@ -29,8 +32,6 @@ correlate over the bottom/right-padded dy, dW is the kernel gradient of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import ShapeError, StateError
@@ -38,71 +39,19 @@ from ..errors import ShapeError, StateError
 KERNEL = 3
 # Values per gathered tap matrix in `correlate` (512 KB in float64).
 _BAND_ELEMENTS = 1 << 16
-
-LAYER_KINDS = frozenset(
-    {
-        "conv",
-        "conv_transpose",
-        "batchnorm",
-        "leaky_relu",
-        "relu",
-        "sigmoid",
-        "dropout",
-    }
-)
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    """Declarative description of one layer in a network graph.
-
-    `filters` only matters for the convolution kinds, `stride` likewise
-    (transpose convolutions are always stride 2).
-    """
-
-    kind: str
-    kernel: int = KERNEL
-    stride: int = 1
-    filters: int = 0
-
-    def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
-            raise ShapeError(f"unknown layer kind {self.kind!r}")
-        if self.kind in ("conv", "conv_transpose"):
-            if self.kernel != KERNEL:
-                raise ShapeError(f"convolutions are {KERNEL}x{KERNEL}, got {self.kernel}")
-            if self.stride not in (1, 2):
-                raise ShapeError(f"stride must be 1 or 2, got {self.stride}")
-            if self.filters < 1:
-                raise ShapeError(f"filters must be positive, got {self.filters}")
-
-
-def make_layer(spec: LayerSpec, in_channels: int, rng=None):
-    """Instantiate the layer object a LayerSpec describes."""
-    if spec.kind == "conv":
-        return Conv2DLayer(in_channels, spec.filters, spec.stride, rng)
-    if spec.kind == "conv_transpose":
-        return Conv2DTransposeLayer(in_channels, spec.filters, rng)
-    if spec.kind == "batchnorm":
-        return BatchNormLayer(in_channels)
-    if spec.kind == "relu":
-        return ReLULayer()
-    if spec.kind == "leaky_relu":
-        return LeakyReLULayer()
-    if spec.kind == "sigmoid":
-        return SigmoidLayer()
-    # LayerSpec admits no other kind.
-    return DropoutLayer()
-
+LEAKY_ALPHA = 0.3
+BN_EPS = 1e-3
+BN_MOMENTUM = 0.99
+DROPOUT_RATE = 0.5
 
 def relu(x):
     """max(0, x), elementwise."""
     return np.maximum(0.0, x)
 
 
-def leaky_relu(x, alpha: float = 0.3):
-    """x for x >= 0, alpha * x below."""
-    return np.where(x >= 0.0, x, alpha * x)
+def leaky_relu(x):
+    """x for x >= 0, LEAKY_ALPHA * x below."""
+    return np.where(x >= 0.0, x, LEAKY_ALPHA * x)
 
 
 def sigmoid(x):
@@ -239,7 +188,6 @@ class Conv2DTransposeLayer:
     def __init__(self, in_channels: int, filters: int, rng=None):
         self.in_channels = in_channels
         self.filters = filters
-        self.stride = 2
         w = _glorot_uniform((KERNEL, KERNEL, filters, in_channels), rng)
         self.params = {"w": w, "b": np.zeros(filters, dtype=np.float64)}
         self.grads: dict[str, np.ndarray] = {}
@@ -273,14 +221,12 @@ class BatchNormLayer:
     """Per-channel batch normalization with running statistics.
 
     Training mode normalizes by batch moments and updates the running
-    mean/variance with momentum 0.99; inference mode normalizes by the
-    running statistics. eps = 1e-3 inside the square root.
+    mean/variance with momentum BN_MOMENTUM; inference mode normalizes by
+    the running statistics. BN_EPS is added inside the square root.
     """
 
-    def __init__(self, channels: int, eps: float = 1e-3, momentum: float = 0.99):
+    def __init__(self, channels: int):
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.params = {
             "gamma": np.ones(channels, dtype=np.float64),
             "beta": np.zeros(channels, dtype=np.float64),
@@ -301,13 +247,13 @@ class BatchNormLayer:
                 raise StateError("batch normalization needs a non-empty batch")
             mean = x.mean(axis=(0, 1, 2))
             var = x.var(axis=(0, 1, 2))
-            m = self.momentum
+            m = BN_MOMENTUM
             self.buffers["moving_mean"] = m * self.buffers["moving_mean"] + (1 - m) * mean
             self.buffers["moving_var"] = m * self.buffers["moving_var"] + (1 - m) * var
         else:
             mean = self.buffers["moving_mean"]
             var = self.buffers["moving_var"]
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x - mean) * inv_std
         self._cache = (xhat, inv_std, training) if grad else None
         return self.params["gamma"] * xhat + self.params["beta"]
@@ -343,8 +289,7 @@ class ReLULayer:
 
 
 class LeakyReLULayer:
-    def __init__(self, alpha: float = 0.3):
-        self.alpha = alpha
+    def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self._mask = None
@@ -353,10 +298,10 @@ class LeakyReLULayer:
         x = np.asarray(x, dtype=np.float64)
         mask = x >= 0.0
         self._mask = mask if grad else None
-        return np.where(mask, x, self.alpha * x)
+        return np.where(mask, x, LEAKY_ALPHA * x)
 
     def backward(self, dout):
-        return np.where(self._mask, dout, self.alpha * dout)
+        return np.where(self._mask, dout, LEAKY_ALPHA * dout)
 
 
 class SigmoidLayer:
@@ -375,26 +320,23 @@ class SigmoidLayer:
 
 
 class DropoutLayer:
-    """Inverted dropout: zero with probability `rate`, scale survivors by
-    1/(1-rate) in training mode; identity in inference mode."""
+    """Inverted dropout: zero with probability DROPOUT_RATE, scale survivors
+    by 1/(1-DROPOUT_RATE) in training mode; identity in inference mode."""
 
-    def __init__(self, rate: float = 0.5):
-        if not 0.0 <= rate < 1.0:
-            raise ShapeError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
+    def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self._mask = None
 
     def forward(self, x, training: bool = False, rng=None, grad: bool = True):
         x = np.asarray(x, dtype=np.float64)
-        if not training or self.rate == 0.0:
+        if not training:
             self._mask = None
             return x
         if rng is None:
             raise StateError("dropout in training mode needs an rng")
-        keep = 1.0 - self.rate
-        mask = (rng.random(x.shape) >= self.rate) / keep
+        keep = 1.0 - DROPOUT_RATE
+        mask = (rng.random(x.shape) >= DROPOUT_RATE) / keep
         self._mask = mask if grad else None
         return x * mask
 
@@ -405,11 +347,10 @@ class DropoutLayer:
 
 
 def _glorot_uniform(shape, rng) -> np.ndarray:
-    # Fans follow the kernel layout: receptive field times channel counts.
-    receptive = KERNEL * KERNEL
-    fan_in = receptive * shape[2] if len(shape) == 4 else shape[0]
-    fan_out = receptive * shape[3] if len(shape) == 4 else shape[1]
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    """Glorot-uniform (3, 3, a, b) kernel; zeros without an rng, for
+    weights that are about to be overwritten."""
     if rng is None:
-        rng = np.random.default_rng(0)
+        return np.zeros(shape)
+    # Fans follow the kernel layout: receptive field times channel counts.
+    limit = np.sqrt(6.0 / (KERNEL * KERNEL * (shape[2] + shape[3])))
     return rng.uniform(-limit, limit, size=shape)

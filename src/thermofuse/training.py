@@ -37,8 +37,8 @@ def train_model(
         raise ValidationError(
             f"epochs and batch size must be positive, got {epochs}, {batch_size}"
         )
-    if lr <= 0.0:
-        raise ValidationError(f"learning rate must be positive, got {lr}")
+    if not 0.0 < lr < float("inf"):  # false for NaN as well
+        raise ValidationError(f"learning rate must be positive and finite, got {lr}")
     inputs = np.stack([np.asarray(p.input, dtype=np.float64) for p in pairs])[..., None]
     targets = np.stack([np.asarray(p.target, dtype=np.float64) for p in pairs])[..., None]
     count = len(pairs)

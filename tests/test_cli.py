@@ -210,6 +210,22 @@ def test_infer_with_nan_weights_writes_no_mask(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_rejects_nan_learning_rate(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["synth", "--count", "1", "--seed", "5", "--out", str(data)])
+    weights = tmp_path / "w.tofw"
+    rc = main(
+        ["train", str(data / "annotations.json"), "--out", str(weights),
+         "--seed", "1", "--epochs", "1", "--dwf", "1", "--crop-size", "32",
+         "--lr", "nan"]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "lr must be positive and finite, got nan" in err
+    assert "Traceback" not in err
+    assert not weights.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_non_finite_loss_is_error_two(tmp_path, capsys):
     # A learning rate of 1e300 sends the weights to ~1e300 after the first

@@ -36,6 +36,12 @@ def test_unit_conversions():
     assert fusion.to_uint8(np.array([[-0.2, 1.7]])).tolist() == [[0, 255]]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_to_uint8_rejects_non_finite(bad):
+    with pytest.raises(ValidationError, match="non-finite"):
+        fusion.to_uint8(np.array([[0.25, bad]]))
+
+
 def test_average_fuse_hand_values():
     a = np.array([[0, 10, 255, 3]], dtype=np.uint8)
     b = np.array([[0, 13, 255, 4]], dtype=np.uint8)

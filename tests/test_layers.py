@@ -9,13 +9,11 @@ from thermofuse.nn import (
     Conv2DLayer,
     Conv2DTransposeLayer,
     DropoutLayer,
-    LayerSpec,
     LeakyReLULayer,
     ReLULayer,
     SigmoidLayer,
     gradient_check,
     leaky_relu,
-    make_layer,
     relu,
     sigmoid,
 )
@@ -71,6 +69,8 @@ def test_stride_two_needs_even_extents():
     layer = Conv2DLayer(1, 1, stride=2, rng=np.random.default_rng(0))
     with pytest.raises(ShapeError):
         layer.forward(np.ones((1, 5, 6, 1)))
+    with pytest.raises(ShapeError):
+        Conv2DLayer(1, 1, stride=3)
 
 
 def test_conv_output_extents():
@@ -142,7 +142,7 @@ def test_batchnorm_inference_uses_moving_stats():
 
 def test_dropout_scaling_and_determinism():
     x = np.ones((2, 4, 4, 3))
-    layer = DropoutLayer(rate=0.5)
+    layer = DropoutLayer()
     assert layer.forward(x, training=False) is x  # identity outside training
     y1 = layer.forward(x, training=True, rng=np.random.default_rng(9))
     y2 = layer.forward(x, training=True, rng=np.random.default_rng(9))
@@ -185,7 +185,7 @@ def test_gradient_check_each_layer(make):
 def test_dropout_backward_is_mask_product():
     # the training-mode Jacobian is diagonal: exactly the stored mask
     rng = np.random.default_rng(7)
-    layer = DropoutLayer(rate=0.5)
+    layer = DropoutLayer()
     x = rng.normal(size=(2, 5, 5, 2))
     y = layer.forward(x, training=True, rng=np.random.default_rng(1))
     mask = np.where(x != 0.0, y / np.where(x == 0.0, 1.0, x), 0.0)
@@ -204,32 +204,3 @@ def test_gradient_check_flags_broken_backward():
     report = gradient_check(Broken(), x)
     assert not report.passed
     assert report.max_rel_err > 0.1
-
-
-def test_layer_spec_validation():
-    with pytest.raises(ShapeError):
-        LayerSpec(kind="pooling")
-    with pytest.raises(ShapeError):
-        LayerSpec(kind="conv", kernel=5)
-    with pytest.raises(ShapeError):
-        LayerSpec(kind="conv", stride=3)
-    with pytest.raises(ShapeError):
-        LayerSpec(kind="conv_transpose", stride=1)
-    LayerSpec(kind="conv", stride=2, filters=8)  # fine
-
-
-def test_make_layer_dispatch():
-    rng = np.random.default_rng(31)
-    conv = make_layer(LayerSpec(kind="conv", stride=2, filters=6), 3, rng=rng)
-    assert isinstance(conv, Conv2DLayer)
-    assert conv.params["w"].shape == (3, 3, 3, 6)
-    up = make_layer(LayerSpec(kind="conv_transpose", stride=2, filters=4), 6, rng=rng)
-    assert isinstance(up, Conv2DTransposeLayer)
-    assert up.params["w"].shape == (3, 3, 4, 6)
-    assert isinstance(make_layer(LayerSpec(kind="batchnorm"), 4), BatchNormLayer)
-    assert isinstance(make_layer(LayerSpec(kind="leaky_relu"), 4), LeakyReLULayer)
-    assert isinstance(make_layer(LayerSpec(kind="sigmoid"), 4), SigmoidLayer)
-    assert isinstance(make_layer(LayerSpec(kind="dropout"), 4), DropoutLayer)
-    for structural in ("concat", "slice"):
-        with pytest.raises(ShapeError):
-            LayerSpec(kind=structural)

@@ -2,16 +2,28 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from thermofuse import FormatError, ShapeError, StateError
 from thermofuse.model import (
+    Block,
     ModelConfig,
     build_model,
     load_weights,
     read_weights_file,
     save_weights,
 )
-from thermofuse.nn import logcosh_loss
+from thermofuse.nn import (
+    BatchNormLayer,
+    Conv2DLayer,
+    Conv2DTransposeLayer,
+    DropoutLayer,
+    LeakyReLULayer,
+    ReLULayer,
+    SigmoidLayer,
+    logcosh_loss,
+)
 
 # every named row of the dwf=4, 128x128 architecture: (label, (h, w, channels))
 REFERENCE_ROWS = [
@@ -86,6 +98,34 @@ def test_config_validation():
         ModelConfig(height=48)  # not a multiple of 32
     with pytest.raises(ShapeError):
         ModelConfig(width=0)
+
+
+@pytest.mark.parametrize(
+    "kind,conv,stride,activation",
+    [
+        ("same", Conv2DLayer, 1, LeakyReLULayer),
+        ("half", Conv2DLayer, 2, LeakyReLULayer),
+        ("double", Conv2DTransposeLayer, None, LeakyReLULayer),
+        ("ll", Conv2DLayer, 1, ReLULayer),
+        ("final", Conv2DLayer, 1, SigmoidLayer),
+    ],
+)
+def test_block_kind_layer_sequence(kind, conv, stride, activation):
+    rng = np.random.default_rng(0)
+    full = Block("b", kind, 3, 5, rng)
+    assert [type(layer) for layer in full.layers] == [
+        conv, activation, BatchNormLayer, DropoutLayer
+    ]
+    assert getattr(full.conv, "stride", None) == stride
+    assert full.conv.params["b"].shape == (5,) and full.bn.channels == 5
+    assert [(name, layer) for name, layer in full.stores()] == [
+        ("b/conv", full.conv), ("b/bn", full.bn)
+    ]
+    bare = Block("b", kind, 3, 5, rng, dropout=False, normalization=False)
+    assert [type(layer) for layer in bare.layers] == [conv, activation]
+    assert bare.bn is None and list(bare.stores()) == [("b/conv", bare.conv)]
+    with pytest.raises(ShapeError):
+        Block("b", "pooling", 3, 5, rng)
 
 
 def test_small_audit_is_scaled_reference():
@@ -364,6 +404,20 @@ def test_save_load_round_trip(tmp_path):
     assert np.allclose(model.forward(x), loaded.forward(x), atol=1e-5)
 
 
+def test_load_draws_no_random_weights(tmp_path, monkeypatch):
+    path = tmp_path / "w.tofw"
+    save_weights(small_model(seed=5), path)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load_weights drew random initial weights")
+
+    # Patched on numpy itself, so no module of the package can seed a generator.
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    again = tmp_path / "w2.tofw"
+    save_weights(load_weights(path, extents=(32, 32)), again)
+    assert path.read_bytes() == again.read_bytes()
+
+
 def test_load_infers_depth_factor(tmp_path):
     model = build_model(ModelConfig(dwf=2, height=32, width=32), seed=1)
     path = tmp_path / "w.tofw"
@@ -458,3 +512,51 @@ def test_load_rejects_wrong_tensor_set(tmp_path):
     wrong.write_bytes(pack_weights(reshaped))
     with pytest.raises(FormatError):
         load_weights(wrong, extents=(32, 32))
+
+
+# A valid file small enough to fuzz: two tensors of rank 2 and 1.
+SMALL_FILE = pack_weights(
+    [("a/w", np.arange(6.0).reshape(2, 3)), ("b", np.array([1.5, -2.0]))]
+)
+FUZZ = settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def parses_or_format_error(path, data: bytes):
+    path.write_bytes(data)
+    try:
+        read_weights_file(path)
+    except FormatError:
+        pass
+
+
+@FUZZ
+@given(
+    st.one_of(
+        st.binary(max_size=128),
+        st.binary(max_size=128).map(lambda tail: SMALL_FILE[:12] + tail),
+    )
+)
+def test_read_weights_file_arbitrary_bytes(tmp_path, data):
+    parses_or_format_error(tmp_path / "fuzz.tofw", data)
+
+
+@FUZZ
+@given(st.integers(0, len(SMALL_FILE) - 1))
+def test_read_weights_file_truncations(tmp_path, length):
+    path = tmp_path / "cut.tofw"
+    path.write_bytes(SMALL_FILE[:length])
+    with pytest.raises(FormatError):
+        read_weights_file(path)
+
+
+@FUZZ
+@given(st.integers(0, len(SMALL_FILE) - 1), st.integers(0, 255))
+def test_read_weights_file_single_byte_edits(tmp_path, index, value):
+    data = bytearray(SMALL_FILE)
+    data[index] = value
+    parses_or_format_error(tmp_path / "edit.tofw", bytes(data))

@@ -31,6 +31,9 @@ def test_train_model_validation():
         train_model(model, pairs, 1, 0, rng, rng)
     with pytest.raises(ValidationError):
         train_model(model, pairs, 1, 2, rng, rng, lr=0.0)
+    for lr in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="finite"):
+            train_model(model, pairs, 1, 2, rng, rng, lr=lr)
 
 
 def test_train_model_reduces_loss():

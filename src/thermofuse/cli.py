@@ -77,68 +77,45 @@ def cmd_dwt(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    import json
     from pathlib import Path
 
     import numpy as np
 
-    from .datakit import synth_pairs, write_pgm
+    from .datakit import synth_pairs, write_annotations
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    if args.seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {args.seed}")
     samples = synth_pairs(
         args.count, extent=args.extent, rng=np.random.default_rng(args.seed)
     )
-    records = []
-    for i, sample in enumerate(samples):
-        thermal_name = f"thermal_{i:04d}.pgm"
-        optical_name = f"optical_{i:04d}.pgm"
-        write_pgm(sample.thermal, outdir / thermal_name)
-        write_pgm(sample.optical, outdir / optical_name)
-        records.append(
-            {
-                "thermal": thermal_name,
-                "optical": optical_name,
-                "boxes": [
-                    {"x0": b.x0, "y0": b.y0, "x1": b.x1, "y1": b.y1, "class": b.label}
-                    for b in sample.boxes
-                ],
-            }
-        )
-    (outdir / "annotations.json").write_text(
-        json.dumps(records, indent=2) + "\n", encoding="utf-8"
-    )
-    print(f"wrote {len(samples)} sample pairs to {outdir}")
+    write_annotations(samples, args.out)
+    print(f"wrote {len(samples)} sample pairs to {Path(args.out)}")
     return 0
 
 
-_TRAIN_DEFAULTS = {
-    "seed": None,
-    "epochs": 200,
-    "batch_size": 8,
-    "lr": 1e-3,
-    "dwf": 4,
-    "crop_size": 128,
-    "per_box": 10,
-    "loss_csv": None,
-}
-_TRAIN_TYPES = {
-    "seed": int,
-    "epochs": int,
-    "batch_size": int,
-    "lr": float,
-    "dwf": int,
-    "crop_size": int,
-    "per_box": int,
-    "loss_csv": str,
+# Every `train` setting: key -> (type, default, help). The flag is `--` plus
+# the key with dashes; a --config file uses the key itself.
+_TRAIN_SETTINGS = {
+    "seed": (int, None, "seed of every random stream (required, flag or config)"),
+    "epochs": (int, 200, "training epochs"),
+    "batch_size": (int, 8, "pairs per Adam step"),
+    "lr": (float, 1e-3, "Adam learning rate"),
+    "dwf": (int, 4, "width multiplier of the network"),
+    "crop_size": (int, 128, "training extent (rows = columns)"),
+    "per_box": (int, 10, "crops sampled per annotated box"),
+    "loss_csv": (str, None, "per-epoch loss CSV path"),
 }
 
 
 def _read_config(path) -> dict[str, str]:
     from pathlib import Path
 
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: config is not UTF-8 text: {exc}") from exc
     values = {}
-    for number, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -149,68 +126,44 @@ def _read_config(path) -> dict[str, str]:
     return values
 
 
-def cmd_train(args) -> int:
-    import numpy as np
-
-    from .datakit import random_crops, read_annotations
-    from .model import ModelConfig, save_weights
-    from .training import train_from_pairs
-
-    settings = dict(_TRAIN_DEFAULTS)
-    if args.config:
-        for key, text in _read_config(args.config).items():
-            if key not in settings:
-                raise ValidationError(f"unknown config key {key!r}")
-            try:
-                settings[key] = _TRAIN_TYPES[key](text)
-            except ValueError as exc:
-                raise ValidationError(f"config key {key!r}: {exc}") from exc
-    for key in settings:
-        flag = getattr(args, key)
-        if flag is not None:
-            settings[key] = flag
+def _train_settings(args) -> dict:
+    """Table defaults, then --config values, then flags; then validated."""
+    settings = {key: default for key, (_, default, _) in _TRAIN_SETTINGS.items()}
+    for key, text in (_read_config(args.config) if args.config else {}).items():
+        if key not in settings:
+            raise ValidationError(f"unknown config key {key!r}")
+        try:
+            settings[key] = _TRAIN_SETTINGS[key][0](text)
+        except ValueError as exc:
+            raise ValidationError(f"config key {key!r}: {exc}") from exc
+    settings.update(
+        {key: getattr(args, key) for key in settings if getattr(args, key) is not None}
+    )
     if settings["seed"] is None:
         raise _UsageError("--seed is required (flag or config file)")
-    for key in ("epochs", "batch_size", "lr", "dwf", "crop_size", "per_box"):
-        if not 0 < settings[key] < float("inf"):  # false for NaN as well
+    if settings["seed"] < 0:
+        raise ValidationError(f"seed must be non-negative, got {settings['seed']}")
+    for key, (kind, _, _) in _TRAIN_SETTINGS.items():
+        if key != "seed" and kind is not str and not 0 < settings[key] < float("inf"):
+            # the comparison is false for NaN as well
             raise ValidationError(f"{key} must be positive and finite, got {settings[key]}")
+    return settings
 
+
+def cmd_train(args) -> int:
+    from .datakit import read_annotations
+    from .model import ModelConfig, save_weights
+    from .training import crop_pairs, train_from_pairs
+
+    settings = _train_settings(args)
     samples = read_annotations(args.annotations)
-    if not samples:
-        raise ValidationError("annotations contain no samples")
-    registered = [s for s in samples if s.optical is not None]
-    if not registered:
-        raise ValidationError("unregistered data cannot train (no optical images)")
-
-    # Child streams 0-2 of the seed drive init/shuffle/dropout inside
-    # train_from_pairs; stream 3 feeds per-sample crop generators.
-    crop_root = np.random.SeedSequence(settings["seed"]).spawn(4)[3]
-    pairs = []
-    for sample, child in zip(registered, crop_root.spawn(len(registered))):
-        pairs.extend(
-            random_crops(
-                sample,
-                per_box=settings["per_box"],
-                rng=np.random.default_rng(child),
-                crop_size=settings["crop_size"],
-            )
-        )
-    if not pairs:
-        raise ValidationError("no training pairs could be built from the annotations")
-
-    cfg = ModelConfig(
-        dwf=settings["dwf"],
-        height=settings["crop_size"],
-        width=settings["crop_size"],
-    )
+    pairs = crop_pairs(samples, settings["seed"], settings["per_box"], settings["crop_size"])
+    extent = settings["crop_size"]
     model, losses = train_from_pairs(
-        cfg,
+        ModelConfig(dwf=settings["dwf"], height=extent, width=extent),
         pairs,
-        epochs=settings["epochs"],
-        batch_size=settings["batch_size"],
-        seed=settings["seed"],
-        lr=settings["lr"],
-        loss_csv=settings["loss_csv"],
+        epochs=settings["epochs"], batch_size=settings["batch_size"],
+        seed=settings["seed"], lr=settings["lr"], loss_csv=settings["loss_csv"],
         log_every=max(1, settings["epochs"] // 10),
     )
     save_weights(model, args.out)
@@ -323,14 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("annotations", help="annotations JSON file")
     p.add_argument("--out", required=True, help="weights file to write")
     p.add_argument("--config", help="flat key=value defaults; flags override")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--dwf", type=int)
-    p.add_argument("--crop-size", type=int, dest="crop_size")
-    p.add_argument("--per-box", type=int, dest="per_box")
-    p.add_argument("--loss-csv", dest="loss_csv", help="per-epoch loss CSV path")
+    for key, (kind, _, text) in _TRAIN_SETTINGS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=kind, dest=key, help=text)
     p.set_defaults(run=cmd_train)
 
     p = sub.add_parser("infer", help="produce the fusion mask for an image")

@@ -114,12 +114,34 @@ def write_pgm(img, path) -> None:
 # -- annotations -------------------------------------------------------
 
 
+def write_annotations(samples, outdir) -> None:
+    """Write `thermal_NNNN.pgm`, `optical_NNNN.pgm` (unless null) and
+    `annotations.json` into `outdir`, which is created if needed."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    records = []
+    for i, sample in enumerate(samples):
+        record = {"thermal": f"thermal_{i:04d}.pgm", "optical": None}
+        write_pgm(sample.thermal, outdir / record["thermal"])
+        if sample.optical is not None:
+            record["optical"] = f"optical_{i:04d}.pgm"
+            write_pgm(sample.optical, outdir / record["optical"])
+        record["boxes"] = [
+            {"x0": b.x0, "y0": b.y0, "x1": b.x1, "y1": b.y1, "class": b.label}
+            for b in sample.boxes
+        ]
+        records.append(record)
+    (outdir / "annotations.json").write_text(
+        json.dumps(records, indent=2) + "\n", encoding="utf-8"
+    )
+
+
 def read_annotations(path) -> list[AnnotatedSample]:
     """Load and validate an annotation file; errors carry the record index."""
     path = Path(path)
     try:
         records = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
         raise ValidationError(f"cannot read annotations {path}: {exc}") from exc
     if not isinstance(records, list):
         raise ValidationError("annotations must be a JSON array")
@@ -160,7 +182,7 @@ def _parse_record(record, base: Path) -> AnnotatedSample:
                 label=int(raw["class"]),
             )
             box.validate(height, width)
-        except (ThermofuseError, KeyError, TypeError, ValueError) as exc:
+        except (ThermofuseError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"box {j}: {exc}") from exc
         boxes.append(box)
     return AnnotatedSample(thermal, optical, boxes, name=thermal_rel)

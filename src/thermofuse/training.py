@@ -1,9 +1,10 @@
 """Deterministic minibatch training with logcosh loss and Adam.
 
-All randomness flows from one integer seed: parameter initialization,
-epoch shuffling and dropout masks draw from separate child streams of the
-same seed sequence (spawn order init, shuffle, dropout), so two runs with
-equal seed and data produce bit-identical losses and weights.
+All randomness flows from one integer seed through four child streams of
+its seed sequence: 0 parameter initialization, 1 epoch shuffling and
+2 dropout masks (`train_from_pairs`), 3 crop sampling (`crop_pairs`, one
+grandchild per registered sample). So two runs with equal seed and data
+produce bit-identical crops, losses and weights.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .datakit import TrainingPair, random_crops
 from .errors import ValidationError
 from .model import Model, ModelConfig, build_model
 from .nn import Adam, logcosh_loss
@@ -75,8 +77,8 @@ def train_from_pairs(
     loss_csv=None,
     log_every: int = 0,
 ) -> tuple[Model, list[float]]:
-    """Build a fresh model and train it, all seeded from `seed`."""
-    init_seq, shuffle_seq, dropout_seq = np.random.SeedSequence(seed).spawn(3)
+    """Build a fresh model and train it, seeded from streams 0-2 of `seed`."""
+    init_seq, shuffle_seq, dropout_seq = np.random.SeedSequence(seed).spawn(4)[:3]
     model = build_model(cfg, rng=np.random.default_rng(init_seq))
     losses = train_model(
         model, pairs, epochs, batch_size,
@@ -87,6 +89,23 @@ def train_from_pairs(
     if loss_csv is not None:
         write_loss_csv(loss_csv, losses)
     return model, losses
+
+
+def crop_pairs(samples, seed: int, per_box: int, crop_size: int) -> list[TrainingPair]:
+    """Training pairs from the registered samples, seeded from stream 3 of `seed`."""
+    if not samples:
+        raise ValidationError("annotations contain no samples")
+    registered = [s for s in samples if s.optical is not None]
+    if not registered:
+        raise ValidationError("unregistered data cannot train (no optical images)")
+    crop_seq = np.random.SeedSequence(seed).spawn(4)[3]
+    pairs = []
+    for sample, child in zip(registered, crop_seq.spawn(len(registered))):
+        rng = np.random.default_rng(child)
+        pairs.extend(random_crops(sample, per_box=per_box, rng=rng, crop_size=crop_size))
+    if not pairs:
+        raise ValidationError("no training pairs could be built from the annotations")
+    return pairs
 
 
 def write_loss_csv(path, losses) -> None:

@@ -9,6 +9,7 @@ and two-level pyramids are supported.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -160,11 +161,13 @@ def read_coeff_plane(path) -> np.ndarray:
         h, w = struct.unpack("<II", head)
         if h < 1 or w < 1:
             raise FormatError(f"{path}: bad extents {h}x{w}")
-        payload = fh.read(8 * h * w)
-        if len(payload) != 8 * h * w:
+        # Sized before reading, so a header claiming huge extents allocates nothing.
+        left = os.fstat(fh.fileno()).st_size - 8
+        if left < 8 * h * w:
             raise FormatError(f"{path}: truncated coefficient payload")
-        if fh.read(1):
+        if left > 8 * h * w:
             raise FormatError(f"{path}: trailing bytes after coefficient payload")
+        payload = fh.read(left)
     return np.frombuffer(payload, dtype="<f8").reshape(h, w).copy()
 
 

@@ -1,3 +1,17 @@
+from hypothesis import HealthCheck, settings
+
+# One profile for every property test: enough examples to reach the error
+# paths, no per-example deadline (some cases build files), and derandomized
+# so a tier-1 run is reproducible.
+settings.register_profile(
+    "fuzz",
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+settings.load_profile("fuzz")
+
 CRITERION_PREFIX = "test_acceptance.py::test_criterion"
 
 

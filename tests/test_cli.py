@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from thermofuse.cli import main
+from thermofuse import ThermofuseError
+from thermofuse.cli import _TRAIN_SETTINGS, _train_settings, build_parser, main
 from thermofuse.datakit import read_pgm, write_pgm
 
 
@@ -243,3 +246,127 @@ def test_train_non_finite_loss_is_error_two(tmp_path, capsys):
     assert "training loss is not finite at epoch 1, step 2" in err
     assert "Traceback" not in err
     assert not weights.exists()
+
+
+def synth_one(tmp_path, seed=5):
+    data = tmp_path / "data"
+    assert main(["synth", "--count", "1", "--seed", str(seed), "--out", str(data)]) == 0
+    return data / "annotations.json"
+
+
+def assert_error_two(rc, capsys, message):
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_train_rejects_non_utf8_config(tmp_path, capsys):
+    annotations = synth_one(tmp_path)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"seed = 1\nloss_csv = \xff.csv\n")
+    weights = tmp_path / "w.tofw"
+    rc = main(["train", str(annotations), "--config", str(cfg), "--out", str(weights)])
+    assert_error_two(rc, capsys, "config is not UTF-8 text")
+    assert not weights.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_train_rejects_negative_seed(tmp_path, capsys, source):
+    annotations = synth_one(tmp_path)
+    weights = tmp_path / "w.tofw"
+    argv = ["train", str(annotations), "--out", str(weights), "--epochs", "1",
+            "--dwf", "1", "--crop-size", "32", "--per-box", "1"]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("seed = -1\n")
+        argv += ["--config", str(cfg)]
+    assert_error_two(main(argv), capsys, "seed must be non-negative, got -1")
+    assert not weights.exists()
+
+
+def test_synth_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "data"
+    rc = main(["synth", "--count", "1", "--seed", "-1", "--out", str(out)])
+    assert_error_two(rc, capsys, "seed must be non-negative, got -1")
+    assert not out.exists()
+
+
+SETTING_TEXT = {int: "3", float: "0.5", str: "run.csv"}
+
+
+@pytest.mark.parametrize("key", list(_TRAIN_SETTINGS))
+def test_train_setting_as_flag_and_config_key(tmp_path, key):
+    kind, default, _ = _TRAIN_SETTINGS[key]
+    text = SETTING_TEXT[kind]
+    seed = [] if key == "seed" else ["--seed", "7"]
+    base = ["train", "ann.json", "--out", "w"]
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"{key} = {text}\n")
+    for argv in (
+        base + ["--" + key.replace("_", "-"), text] + seed,
+        base + ["--config", str(cfg)] + seed,
+    ):
+        settings = _train_settings(build_parser().parse_args(argv))
+        assert settings[key] == kind(text) != default
+        assert all(
+            settings[other] == _TRAIN_SETTINGS[other][1]
+            for other in _TRAIN_SETTINGS
+            if other not in (key, "seed")
+        )
+
+
+CONFIG_LINE = st.tuples(
+    st.sampled_from(list(_TRAIN_SETTINGS)) | st.text(max_size=5),
+    st.sampled_from(["0", "-1", "3", "2.5", "nan", "inf", "1e400", "1_0", ""])
+    | st.text(max_size=6),
+).map(lambda kv: f"{kv[0]} = {kv[1]}")
+
+
+@given(
+    st.one_of(
+        st.binary(max_size=64),
+        st.lists(CONFIG_LINE, max_size=4).map(lambda lines: "\n".join(lines).encode()),
+    )
+)
+def test_train_config_any_bytes(tmp_path, data):
+    cfg = tmp_path / "fuzz.cfg"
+    cfg.write_bytes(b"seed = 1\n" + data)
+    args = build_parser().parse_args(["train", "a.json", "--out", "w", "--config", str(cfg)])
+    try:
+        settings = _train_settings(args)
+    except ThermofuseError:
+        return
+    assert settings["seed"] >= 0
+    for key, (kind, _, _) in _TRAIN_SETTINGS.items():
+        assert isinstance(settings[key], kind) or settings[key] is None
+        if kind is not str and key != "seed":
+            assert 0 < settings[key] < float("inf")
+
+
+def degenerate_image(shape):
+    if shape == "flat":
+        return np.full((16, 16), 77, dtype=np.uint8)
+    return (np.arange(shape[0] * shape[1]).reshape(shape) * 37 % 256).astype(np.uint8)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), "flat"])
+def test_degenerate_images_exit_cleanly(tmp_path, capsys, shape):
+    image = degenerate_image(shape)
+    thermal, other = tmp_path / "t.pgm", tmp_path / "o.pgm"
+    write_pgm(image, thermal)
+    write_pgm(255 - image, other)
+    for argv in (
+        ["fuse", "--thermal", thermal, "--mask", other, "--out", tmp_path / "f.pgm", "--he"],
+        ["rof", "--thermal", thermal, "--fused", other, "--metric", "ssd"],
+        ["rof", "--thermal", thermal, "--fused", other, "--metric", "ssim"],
+        ["metrics", "--a", thermal, "--b", other],
+        ["metrics", "--thermal", thermal, "--visual", other, "--output", thermal],
+    ):
+        rc = main([str(arg) for arg in argv])
+        err = capsys.readouterr().err
+        assert rc in (0, 2), argv
+        assert "Traceback" not in err
+        assert (rc == 2) == err.startswith("error:")

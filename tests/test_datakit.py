@@ -3,14 +3,17 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from thermofuse import FormatError, ValidationError
+from thermofuse import FormatError, ThermofuseError, ValidationError
 from thermofuse import datakit
 from thermofuse.datakit import (
     read_annotations,
     read_pgm,
     random_crops,
     synth_pairs,
+    write_annotations,
     write_pgm,
 )
 from thermofuse.fusion import RoiBox, build_training_target
@@ -147,6 +150,54 @@ def test_read_annotations_rejects_non_array(tmp_path):
         read_annotations(path)
 
 
+def test_read_annotations_rejects_non_utf8_file(tmp_path):
+    path = tmp_path / "ann.json"
+    path.write_bytes(b'[{"thermal": "\xff.pgm"}]')
+    with pytest.raises(ValidationError, match="cannot read annotations"):
+        read_annotations(path)
+
+
+def test_read_annotations_rejects_deep_nesting(tmp_path):
+    path = tmp_path / "ann.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ValidationError, match="cannot read annotations"):
+        read_annotations(path)
+
+
+def test_read_annotations_rejects_infinite_coordinate(tmp_path):
+    path, _ = annotation_fixture(tmp_path)
+    path.write_text(
+        '[{"thermal": "t.pgm", "boxes": '
+        '[{"x0": 1e400, "y0": 0, "x1": 5, "y1": 5, "class": 1}]}]'
+    )
+    with pytest.raises(ValidationError, match=r"annotation record 0: box 0"):
+        read_annotations(path)
+
+
+def test_write_annotations_round_trip(tmp_path):
+    samples = synth_pairs(2, rng=np.random.default_rng(6))
+    samples.append(datakit.AnnotatedSample(samples[0].thermal, None, []))
+    write_annotations(samples, tmp_path / "out")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "annotations.json",
+        "optical_0000.pgm",
+        "optical_0001.pgm",
+        "thermal_0000.pgm",
+        "thermal_0001.pgm",
+        "thermal_0002.pgm",
+    ]
+    text = (tmp_path / "out" / "annotations.json").read_text(encoding="utf-8")
+    assert text.endswith("]\n") and text.startswith('[\n  {\n    "thermal"')
+    back = read_annotations(tmp_path / "out" / "annotations.json")
+    assert [b.name for b in back] == ["thermal_0000.pgm", "thermal_0001.pgm", "thermal_0002.pgm"]
+    for sample, read in zip(samples, back):
+        assert np.array_equal(read.thermal, sample.thermal)
+        assert (read.optical is None) == (sample.optical is None)
+        if sample.optical is not None:
+            assert np.array_equal(read.optical, sample.optical)
+        assert read.boxes == sample.boxes
+
+
 def make_sample(height=80, width=90, box=None, seed=1):
     rng = np.random.default_rng(seed)
     thermal = rng.integers(0, 256, size=(height, width), dtype=np.uint8)
@@ -249,3 +300,70 @@ def test_synth_pairs_boxes_are_tight():
                 continue
             assert hot[0, :].any() or hot[-1, :].any()
             assert hot[:, 0].any() or hot[:, -1].any()
+
+
+# -- property tests: every byte string parses or raises ThermofuseError ----
+
+VALID_PGM = b"P5\n3 2\n255\n" + bytes(range(6))
+
+
+@given(
+    st.one_of(
+        st.binary(max_size=64),
+        st.binary(max_size=32).map(lambda tail: b"P5\n" + tail),
+        st.tuples(st.integers(0, len(VALID_PGM)), st.binary(max_size=8)).map(
+            lambda cut: VALID_PGM[: cut[0]] + cut[1]
+        ),
+    )
+)
+def test_read_pgm_any_bytes(tmp_path, data):
+    path = tmp_path / "fuzz.pgm"
+    path.write_bytes(data)
+    try:
+        image = read_pgm(path)
+    except ThermofuseError:
+        return
+    assert image.dtype == np.uint8 and image.ndim == 2 and image.size >= 1
+
+
+COORDINATE = st.one_of(
+    st.integers(-3, 20),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=4),
+    st.none(),
+    st.booleans(),
+)
+BOX = st.dictionaries(
+    st.sampled_from(["x0", "y0", "x1", "y1", "class"]), COORDINATE
+) | st.fixed_dictionaries({k: COORDINATE for k in ("x0", "y0", "x1", "y1", "class")})
+PATH = st.sampled_from(["t.pgm", "o.pgm", "wide.pgm", "missing.pgm", "", 3, None])
+RECORD = st.one_of(
+    st.fixed_dictionaries(
+        {"thermal": PATH},
+        optional={"optical": PATH, "boxes": st.lists(BOX, max_size=3) | COORDINATE},
+    ),
+    COORDINATE,
+)
+
+
+@given(
+    st.one_of(
+        st.binary(max_size=64),
+        st.lists(RECORD, max_size=3).map(lambda r: json.dumps(r).encode()),
+        st.binary(max_size=32).map(lambda tail: b'[{"thermal": "t.pgm", ' + tail),
+    )
+)
+def test_read_annotations_any_bytes(tmp_path, data):
+    write_pgm(np.zeros((8, 8), dtype=np.uint8), tmp_path / "t.pgm")
+    write_pgm(np.ones((8, 8), dtype=np.uint8), tmp_path / "o.pgm")
+    write_pgm(np.ones((8, 9), dtype=np.uint8), tmp_path / "wide.pgm")
+    path = tmp_path / "ann.json"
+    path.write_bytes(data)
+    try:
+        samples = read_annotations(path)
+    except ThermofuseError:
+        return
+    for sample in samples:
+        for box in sample.boxes:
+            box.validate(*sample.thermal.shape)

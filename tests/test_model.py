@@ -2,7 +2,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from thermofuse import FormatError, ShapeError, StateError
@@ -518,12 +518,6 @@ def test_load_rejects_wrong_tensor_set(tmp_path):
 SMALL_FILE = pack_weights(
     [("a/w", np.arange(6.0).reshape(2, 3)), ("b", np.array([1.5, -2.0]))]
 )
-FUZZ = settings(
-    max_examples=200,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
 
 
 def parses_or_format_error(path, data: bytes):
@@ -534,7 +528,6 @@ def parses_or_format_error(path, data: bytes):
         pass
 
 
-@FUZZ
 @given(
     st.one_of(
         st.binary(max_size=128),
@@ -545,7 +538,6 @@ def test_read_weights_file_arbitrary_bytes(tmp_path, data):
     parses_or_format_error(tmp_path / "fuzz.tofw", data)
 
 
-@FUZZ
 @given(st.integers(0, len(SMALL_FILE) - 1))
 def test_read_weights_file_truncations(tmp_path, length):
     path = tmp_path / "cut.tofw"
@@ -554,7 +546,6 @@ def test_read_weights_file_truncations(tmp_path, length):
         read_weights_file(path)
 
 
-@FUZZ
 @given(st.integers(0, len(SMALL_FILE) - 1), st.integers(0, 255))
 def test_read_weights_file_single_byte_edits(tmp_path, index, value):
     data = bytearray(SMALL_FILE)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from thermofuse import ValidationError
-from thermofuse.datakit import TrainingPair
+from thermofuse.datakit import AnnotatedSample, TrainingPair, random_crops, synth_pairs
+from thermofuse.fusion import RoiBox
 from thermofuse.model import ModelConfig, build_model, save_weights
-from thermofuse.training import train_from_pairs, train_model, write_loss_csv
+from thermofuse.training import crop_pairs, train_from_pairs, train_model, write_loss_csv
 
 CFG = ModelConfig(dwf=1, height=32, width=32)
 
@@ -86,3 +87,28 @@ def test_write_loss_csv_formats_full_precision(tmp_path):
     write_loss_csv(path, values)
     body = path.read_text(encoding="ascii")
     assert body == "epoch,loss\n1,0.30000000000000004\n2,1e-17\n3,3.0\n"
+
+
+def test_crop_pairs_draw_from_stream_three():
+    samples = synth_pairs(3, rng=np.random.default_rng(2))
+    samples.insert(1, AnnotatedSample(samples[0].thermal, None, samples[0].boxes))
+    pairs = crop_pairs(samples, seed=9, per_box=2, crop_size=32)
+    # Stream 3 of the seed, one child per registered sample in order.
+    children = np.random.SeedSequence(9).spawn(4)[3].spawn(3)
+    expected = []
+    for sample, child in zip(samples[:1] + samples[2:], children):
+        expected += random_crops(sample, 2, np.random.default_rng(child), 32)
+    assert len(pairs) == len(expected) > 0
+    for got, want in zip(pairs, expected):
+        assert np.array_equal(got.input, want.input)
+        assert np.array_equal(got.target, want.target)
+
+
+def test_crop_pairs_errors():
+    image = np.zeros((40, 40), dtype=np.uint8)
+    with pytest.raises(ValidationError, match="no samples"):
+        crop_pairs([], 1, 1, 32)
+    with pytest.raises(ValidationError, match="unregistered"):
+        crop_pairs([AnnotatedSample(image, None, [])], 1, 1, 32)
+    with pytest.raises(ValidationError, match="no training pairs"):
+        crop_pairs([AnnotatedSample(image, image, [RoiBox(0, 0, 5, 5)])], 1, 1, 64)

@@ -1,7 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from thermofuse import FormatError, ShapeError
+from thermofuse import FormatError, ShapeError, ThermofuseError
 from thermofuse import wavelet
 
 
@@ -157,6 +161,38 @@ def test_coeff_plane_read_errors(tmp_path):
     stub.write_bytes(data[:5])
     with pytest.raises(FormatError):
         wavelet.read_coeff_plane(stub)
+
+
+@pytest.mark.parametrize("h, w", [(0xFFFFFFFF, 0xFFFFFFFF), (2, 0xB0000002)])
+def test_coeff_plane_huge_extents(tmp_path, h, w):
+    path = tmp_path / "huge.coef"
+    path.write_bytes(struct.pack("<II", h, w) + b"\x00" * 4)
+    with pytest.raises(FormatError, match="truncated"):
+        wavelet.read_coeff_plane(path)
+
+
+VALID_COEF = struct.pack("<II", 2, 2) + np.arange(4, dtype="<f8").tobytes()
+
+
+@given(
+    st.one_of(
+        st.binary(max_size=64),
+        st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)).map(
+            lambda hw: struct.pack("<II", *hw) + bytes(16)
+        ),
+        st.tuples(st.integers(0, 40), st.binary(max_size=9)).map(
+            lambda cut: VALID_COEF[: cut[0]] + cut[1]
+        ),
+    )
+)
+def test_read_coeff_plane_any_bytes(tmp_path, data):
+    path = tmp_path / "fuzz.coef"
+    path.write_bytes(data)
+    try:
+        plane = wavelet.read_coeff_plane(path)
+    except ThermofuseError:
+        return
+    assert 8 + 8 * plane.size == len(data)
 
 
 def test_rescale_for_display():

@@ -177,12 +177,12 @@ def _parse_record(record, base: Path) -> AnnotatedSample:
     boxes = []
     for j, raw in enumerate(record.get("boxes", ())):
         try:
-            box = RoiBox(
-                int(raw["x0"]), int(raw["y0"]), int(raw["x1"]), int(raw["y1"]),
-                label=int(raw["class"]),
-            )
+            for key in ("x0", "y0", "x1", "y1", "class"):
+                if type(raw[key]) is not int:  # rejects true, 1.9 and "7"
+                    raise ValueError(f"{key!r} must be an integer, got {raw[key]!r}")
+            box = RoiBox(raw["x0"], raw["y0"], raw["x1"], raw["y1"], label=raw["class"])
             box.validate(height, width)
-        except (ThermofuseError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (ThermofuseError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"box {j}: {exc}") from exc
         boxes.append(box)
     return AnnotatedSample(thermal, optical, boxes, name=thermal_rel)

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor
 from .errors import FormatError, ShapeError, StateError
 from .nn.layers import (
     BatchNormLayer,
@@ -266,9 +265,12 @@ class Model:
                 y = node.block.forward(out[node.inputs[0]], training, rng, grad)
             elif node.op == "slice":
                 src = out[node.inputs[0]]
-                y = src[:, :, :, node.channel : node.channel + 1].copy()
+                y = src[..., node.channel : node.channel + 1]
             else:  # concat
-                y = tensor.concat(out[node.inputs[0]], out[node.inputs[1]], node.axis)
+                try:
+                    y = np.concatenate([out[src] for src in node.inputs], axis=node.axis)
+                except ValueError as exc:
+                    raise ShapeError(f"concat {node.name!r}: {exc}") from None
             out[node.name] = y
             if node.table_label is not None:
                 audit.append((node.table_label, tuple(y.shape[1:])))

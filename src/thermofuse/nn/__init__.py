@@ -8,8 +8,6 @@ from .layers import (
     LeakyReLULayer,
     ReLULayer,
     SigmoidLayer,
-    leaky_relu,
-    relu,
     sigmoid,
 )
 from .loss import logcosh_loss
@@ -29,8 +27,6 @@ __all__ = [
     "SigmoidLayer",
     "gradient_check",
     "gradient_check_fn",
-    "leaky_relu",
     "logcosh_loss",
-    "relu",
     "sigmoid",
 ]

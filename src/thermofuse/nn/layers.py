@@ -4,9 +4,8 @@ Their constants (leaky slope, batch-norm eps and momentum, dropout rate) are
 the module-level values below, not constructor arguments. Convolutions take
 an rng for their initial weights; without one the weights start at zero.
 
-Activations come both as plain functions and as layer objects. Layers
-operate on batched arrays shaped (batch, height, width, channels) in
-float64. Every `forward` takes `grad`: with `grad=True` (the default) the
+Layers operate on batched arrays shaped (batch, height, width, channels)
+in float64. Every `forward` takes `grad`: with `grad=True` (the default) the
 layer caches whatever the backward pass needs, and `backward` must be
 called after that forward. With `grad=False` it runs the same arithmetic,
 returns a bit-identical result, keeps nothing and drops what an earlier
@@ -43,16 +42,6 @@ LEAKY_ALPHA = 0.3
 BN_EPS = 1e-3
 BN_MOMENTUM = 0.99
 DROPOUT_RATE = 0.5
-
-def relu(x):
-    """max(0, x), elementwise."""
-    return np.maximum(0.0, x)
-
-
-def leaky_relu(x):
-    """x for x >= 0, LEAKY_ALPHA * x below."""
-    return np.where(x >= 0.0, x, LEAKY_ALPHA * x)
-
 
 def sigmoid(x):
     """1 / (1 + exp(-x)), computed without overflow for large |x|."""

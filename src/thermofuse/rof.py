@@ -5,9 +5,10 @@ Four greedy passes shrink the box one boundary strip at a time — top rows,
 bottom rows, then left and right columns over the surviving row band. A
 strip is removed while the dissimilarity ratio M1/M2 stays below the area
 ratio A1/A2; the comparison is done by cross-multiplication (M1*A2 <
-A1*M2), which is exact in integer arithmetic for the default
-sum-of-squared-differences measure and avoids dividing by zero when a
-strip carries all the dissimilarity.
+A1*M2), which is exact in integer arithmetic for "ssd" and avoids
+dividing by zero when a strip carries all the dissimilarity. The measure
+is "ssd", the sum of squared 8-bit differences (the default), or "ssim",
+1 - SSIM over the region.
 """
 
 from __future__ import annotations
@@ -54,13 +55,17 @@ def _ssim_dissim(a, b):
     return 1.0 - _ssim(a, b)
 
 
+_DISSIM = {"ssd": dissim_ssd, "ssim": _ssim_dissim}
+
+
 class _RegionMeasure:
     """Dissimilarity of an inclusive sub-rectangle of a fixed image pair."""
 
     def __init__(self, thermal, fused, metric, use_integral):
-        self.name = metric if isinstance(metric, str) else getattr(
-            metric, "__name__", "custom"
-        )
+        if not isinstance(metric, str) or metric not in _DISSIM:
+            raise ValidationError(f"unknown dissimilarity metric {metric!r}")
+        self.name = metric
+        self._sat = None
         if metric == "ssd" and use_integral:
             d = thermal.astype(np.int64) - fused
             sq = d * d
@@ -68,20 +73,10 @@ class _RegionMeasure:
             # lookups. Integer throughout, so identical to direct summation.
             self._sat = np.zeros((sq.shape[0] + 1, sq.shape[1] + 1), dtype=np.int64)
             np.cumsum(np.cumsum(sq, axis=0), axis=1, out=self._sat[1:, 1:])
-            self._fn = None
         else:
-            if metric == "ssd":
-                fn = dissim_ssd
-            elif metric == "ssim":
-                fn = _ssim_dissim
-            elif callable(metric):
-                fn = metric
-            else:
-                raise ValidationError(f"unknown dissimilarity metric {metric!r}")
             self._thermal = thermal
             self._fused = fused
-            self._fn = fn
-            self._sat = None
+            self._fn = _DISSIM[metric]
 
     def __call__(self, r1, r2, c1, c2):
         if self._sat is not None:
@@ -96,9 +91,10 @@ class _RegionMeasure:
 def compute_rof(thermal, fused, metric="ssd", use_integral: bool = True) -> RofBox:
     """Run the four shrink passes and return the final box.
 
-    `metric` is "ssd", "ssim", or any callable (region_a, region_b) ->
-    non-negative value. `use_integral=False` forces per-strip recomputation
-    for the default measure (same result, kept for cross-checking).
+    `metric` is "ssd" (sum of squared differences) or "ssim" (1 - SSIM);
+    any other value raises ValidationError. `use_integral=False` forces
+    per-strip recomputation for "ssd" (same result, kept for
+    cross-checking).
     """
     t = as_gray8(thermal)
     f = as_gray8(fused)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor
 from .errors import FormatError, ShapeError
 
 
@@ -111,20 +110,16 @@ def tile_layout(pyr: SubbandPyramid) -> np.ndarray:
 
     Per level the quadrants sit LL top-left, HL to its right, LH below,
     HH on the diagonal; the level-2 tile occupies the level-1 LL slot.
-    Mirrors the network's concatenation order exactly: columns joins
-    (axis 2) before row joins (axis 1).
+    Mirrors the network's concatenation order exactly: `np.block` joins
+    columns before rows.
     """
     if pyr.levels != 2:
         raise ShapeError(f"tiling needs a 2-level pyramid, got {pyr.levels}")
     lv1, lv2 = pyr.details[0], pyr.details[1]
     if pyr.ll.shape[0] != pyr.ll.shape[1]:
         raise ShapeError(f"tiling needs a square image, deepest LL is {pyr.ll.shape}")
-    top2 = tensor.concat(pyr.ll, lv2.hl, axis=2)
-    bot2 = tensor.concat(lv2.lh, lv2.hh, axis=2)
-    ll1_tile = tensor.concat(top2, bot2, axis=1)
-    top1 = tensor.concat(ll1_tile, lv1.hl, axis=2)
-    bot1 = tensor.concat(lv1.lh, lv1.hh, axis=2)
-    return tensor.concat(top1, bot1, axis=1)
+    ll1_tile = np.block([[pyr.ll, lv2.hl], [lv2.lh, lv2.hh]])
+    return np.block([[ll1_tile, lv1.hl], [lv1.lh, lv1.hh]])
 
 
 def untile_layout(plane) -> SubbandPyramid:

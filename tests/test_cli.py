@@ -248,6 +248,20 @@ def test_train_non_finite_loss_is_error_two(tmp_path, capsys):
     assert not weights.exists()
 
 
+def test_train_out_of_memory_is_error_two(tmp_path, capsys, monkeypatch):
+    annotations = synth_one(tmp_path)
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.62 TiB for an array")
+
+    monkeypatch.setattr("thermofuse.training.build_model", no_memory)
+    weights = tmp_path / "w.tofw"
+    rc = main(["train", str(annotations), "--out", str(weights), "--seed", "1",
+               "--epochs", "1", "--dwf", "1", "--crop-size", "32", "--per-box", "1"])
+    assert_error_two(rc, capsys, "error: Unable to allocate 2.62 TiB")
+    assert not weights.exists()
+
+
 def synth_one(tmp_path, seed=5):
     data = tmp_path / "data"
     assert main(["synth", "--count", "1", "--seed", str(seed), "--out", str(data)]) == 0

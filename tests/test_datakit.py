@@ -132,6 +132,12 @@ def test_read_annotations_box_errors(tmp_path):
     path.write_text(json.dumps([{"thermal": "t.pgm", "boxes": [{"x0": 0}]}]))
     with pytest.raises(ValidationError, match="box 0"):
         read_annotations(path)
+    # box fields are JSON integers: no float, bool or string is coerced
+    for key, value in (("x0", 1.9), ("y0", True), ("x1", "7")):
+        box = {"x0": 0, "y0": 0, "x1": 5, "y1": 5, "class": 1, key: value}
+        path, _ = annotation_fixture(tmp_path, boxes=[box])
+        with pytest.raises(ValidationError, match=r"annotation record 0: box 0"):
+            read_annotations(path)
 
 
 def test_read_annotations_extent_mismatch(tmp_path):

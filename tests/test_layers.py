@@ -13,16 +13,14 @@ from thermofuse.nn import (
     ReLULayer,
     SigmoidLayer,
     gradient_check,
-    leaky_relu,
-    relu,
     sigmoid,
 )
 
 
 def test_activation_functions():
     x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
-    assert np.array_equal(relu(x), [0.0, 0.0, 0.0, 0.5, 2.0])
-    assert np.allclose(leaky_relu(x), [-0.6, -0.15, 0.0, 0.5, 2.0])
+    assert np.array_equal(ReLULayer().forward(x), [0.0, 0.0, 0.0, 0.5, 2.0])
+    assert np.allclose(LeakyReLULayer().forward(x), [-0.6, -0.15, 0.0, 0.5, 2.0])
     s = sigmoid(x)
     assert np.allclose(s, 1.0 / (1.0 + np.exp(-x)))
     # stable at extreme inputs: saturates without overflow warnings

@@ -239,6 +239,21 @@ def test_sub_band_injection_places_quadrants():
     assert np.all(op1[16:, 16:] == 7.0)
 
 
+def test_backward_leaves_forward_activations_unchanged():
+    # Slice planes are views of their source, so an in-place write during
+    # backward into any cached activation would corrupt its neighbours.
+    model = small_model()
+    rng = np.random.default_rng(21)
+    x = rng.uniform(size=(2, 32, 32, 1))
+    y = model.forward(x, training=True, rng=np.random.default_rng(5))
+    names = [node.name for node in model.nodes]
+    assert {"d10", "ca1", "ch1", "cv1", "cd1", "ll1_blk7", "ca2", "ch2", "cv2", "cd2"} <= set(names)
+    before = {name: model.activation(name).copy() for name in names}
+    model.backward(rng.normal(size=y.shape))
+    for name in names:
+        assert np.array_equal(model.activation(name), before[name]), name
+
+
 def test_injection_rejects_wrong_shape():
     model = small_model()
     with pytest.raises(ShapeError):

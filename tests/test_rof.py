@@ -81,18 +81,10 @@ def test_ssim_metric_and_callable():
     assert box.metric == "ssim"
     assert 0 <= box.x1 <= box.x2 < 24
 
-    def abs_sum(a, b):
-        return int(np.abs(a.astype(int) - b.astype(int)).sum())
-
-    named = compute_rof(thermal, fused, metric=abs_sum)
-    assert named.metric == "abs_sum"
-    assert named.dissim == abs_sum(
-        thermal[named.x1 : named.x2 + 1, named.y1 : named.y2 + 1],
-        fused[named.x1 : named.x2 + 1, named.y1 : named.y2 + 1],
-    )
-
     with pytest.raises(ValidationError):
         compute_rof(thermal, fused, metric="cosine")
+    with pytest.raises(ValidationError):
+        compute_rof(thermal, fused, metric=lambda a, b: 0)
     with pytest.raises(ShapeError):
         compute_rof(thermal, fused[:12])
 

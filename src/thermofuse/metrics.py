@@ -35,6 +35,8 @@ def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeError(f"expected 2-D images, got shapes {av.shape}, {bv.shape}")
     if av.shape != bv.shape:
         raise ShapeError(f"extent mismatch: {av.shape} vs {bv.shape}")
+    if av.size == 0:
+        raise ShapeError(f"empty image {av.shape}")
     return av, bv
 
 
@@ -76,7 +78,9 @@ def _windowed_mean(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return np.tensordot(sliding_window_view(rows, size, axis=1), kernel, axes=([2], [0]))
 
 
-def ssim(a, b) -> float:
+def ssim_map(a, b) -> np.ndarray:
+    """Per-window SSIM: entry (i, j) scores the window whose top-left pixel
+    is (i, j), so the map has (rows - 10) x (cols - 10) entries."""
     av, bv = _as_pair(a, b)
     if min(av.shape) < SSIM_WINDOW:
         raise ValidationError(
@@ -92,7 +96,12 @@ def ssim(a, b) -> float:
     cov = _windowed_mean(av * bv, kernel) - mu_a * mu_b
     numer = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     denom = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-    return float(np.mean(numer / denom))
+    return numer / denom
+
+
+def ssim(a, b) -> float:
+    """Mean of the SSIM map over all valid window positions."""
+    return float(np.mean(ssim_map(a, b)))
 
 
 def score_triple(a, b) -> ScoreTriple:

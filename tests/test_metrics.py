@@ -113,6 +113,26 @@ def test_extent_mismatch_and_rank():
         metrics.cossim(np.zeros((4, 4, 1)), np.zeros((4, 4, 1)))
 
 
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+def test_empty_images_are_shape_errors(shape):
+    empty = np.zeros(shape)
+    for score in (metrics.mse, metrics.cossim, metrics.ssim, metrics.ssim_map,
+                  metrics.score_triple):
+        with pytest.raises(ShapeError):
+            score(empty, empty)
+
+
+def test_ssim_is_the_mean_of_its_map():
+    rng = np.random.default_rng(21)
+    a = rng.integers(0, 256, size=(19, 27)).astype(np.float64)
+    b = rng.integers(0, 256, size=(19, 27)).astype(np.float64)
+    smap = metrics.ssim_map(a, b)
+    assert smap.shape == (9, 17)  # one entry per valid window position
+    assert metrics.ssim(a, b) == float(np.mean(smap))
+    with pytest.raises(ValidationError):
+        metrics.ssim_map(np.zeros((10, 16)), np.zeros((10, 16)))
+
+
 def test_score_triple_fields():
     rng = np.random.default_rng(77)
     a = rng.integers(0, 256, size=(16, 16)).astype(np.float64)

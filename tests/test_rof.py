@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from thermofuse import ShapeError, ValidationError
+from thermofuse import ShapeError, ValidationError, metrics
 from thermofuse.rof import RofBox, compute_rof, dissim_ssd, draw_box
 
 
@@ -46,14 +48,77 @@ def test_dissim_ssd_values_and_errors():
         dissim_ssd(a, b[:1])
 
 
-def test_integral_and_direct_agree_exactly():
+@pytest.mark.parametrize("metric", ["ssd", "ssim"])
+def test_integral_and_direct_agree_exactly(metric):
+    # shapes on both sides of the 11-px SSIM window
     rng = np.random.default_rng(33)
-    for _ in range(5):
-        thermal = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
-        fused = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
-        fast = compute_rof(thermal, fused, use_integral=True)
-        slow = compute_rof(thermal, fused, use_integral=False)
+    for shape in [(8, 30), (16, 16), (40, 24)] * 2:
+        thermal = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        fused = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        fast = compute_rof(thermal, fused, metric, use_integral=True)
+        slow = compute_rof(thermal, fused, metric, use_integral=False)
         assert fast == slow  # dataclass equality: bounds, metric and dissim
+
+
+@pytest.fixture
+def windowed_mean_calls(monkeypatch):
+    """Shapes of the images each `metrics._windowed_mean` call averages."""
+    calls = []
+    windowed_mean = metrics._windowed_mean
+
+    def counted(img, kernel):
+        calls.append(img.shape)
+        return windowed_mean(img, kernel)
+
+    monkeypatch.setattr(metrics, "_windowed_mean", counted)
+    return calls
+
+
+def test_ssim_near_ties_decided_as_direct(windowed_mean_calls):
+    # one flipped low bit in a corner leaves 1 - SSIM so close to 0 that
+    # the map table's last-bit rounding cannot call the comparisons
+    rng = np.random.default_rng(4)
+    thermal = rng.integers(0, 256, size=(28, 32), dtype=np.uint8)
+    fused = thermal.copy()
+    fused[27, 30] ^= 1
+    fast = compute_rof(thermal, fused, "ssim", use_integral=True)
+    assert len(windowed_mean_calls) > 10  # some strips were recomputed
+    assert fast == compute_rof(thermal, fused, "ssim", use_integral=False)
+
+
+def _image_pairs():
+    shape = st.tuples(st.integers(1, 40), st.integers(1, 40))
+    return shape.flatmap(
+        lambda s: st.tuples(arrays(np.uint8, s), arrays(np.uint8, s))
+    )
+
+
+@given(_image_pairs())
+def test_ssim_table_matches_direct(pair):
+    thermal, fused = pair
+    assert compute_rof(thermal, fused, "ssim", use_integral=True) == compute_rof(
+        thermal, fused, "ssim", use_integral=False
+    )
+
+
+def test_ssim_work_per_strip_is_constant(windowed_mean_calls):
+    # one SSIM map for the whole pair plus the final box's direct measure:
+    # five windowed means each, however many strips the passes remove
+    rng = np.random.default_rng(96)
+    thermal = rng.integers(0, 256, size=(96, 96), dtype=np.uint8)
+    fused = thermal.copy()
+    fused[30:70, 20:60] = rng.integers(0, 256, size=(40, 40), dtype=np.uint8)
+    box = compute_rof(thermal, fused, metric="ssim")
+    assert (box.x1, box.x2, box.y1, box.y2) != (0, 95, 0, 95)  # strips were removed
+    assert len(windowed_mean_calls) <= 10
+
+
+@pytest.mark.parametrize("metric", ["ssd", "ssim"])
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+def test_empty_image_is_a_shape_error(metric, shape):
+    empty = np.zeros(shape, dtype=np.uint8)
+    with pytest.raises(ShapeError):
+        compute_rof(empty, empty, metric)
 
 
 def test_blob_recovery_with_noise():
@@ -72,7 +137,7 @@ def test_blob_recovery_with_noise():
     assert box_iou(got, want) >= 0.8
 
 
-def test_ssim_metric_and_callable():
+def test_ssim_metric_and_errors():
     rng = np.random.default_rng(55)
     thermal = rng.integers(0, 256, size=(24, 24), dtype=np.uint8)
     fused = thermal.copy()

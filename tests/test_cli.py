@@ -382,5 +382,8 @@ def test_degenerate_images_exit_cleanly(tmp_path, capsys, shape):
         rc = main([str(arg) for arg in argv])
         err = capsys.readouterr().err
         assert rc in (0, 2), argv
+        if argv[0] == "rof" and argv[-1] == "ssim":
+            # smaller than the 11-px SSIM window in either extent: exit 2
+            assert rc == (0 if shape == "flat" else 2)
         assert "Traceback" not in err
         assert (rc == 2) == err.startswith("error:")

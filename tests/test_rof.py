@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from thermofuse import ShapeError, ValidationError, metrics
-from thermofuse.rof import RofBox, compute_rof, dissim_ssd, draw_box
+from thermofuse import ShapeError, ValidationError, datakit, fusion, metrics
+from thermofuse.metrics import SSIM_WINDOW
+from thermofuse.rof import RofBox, compute_rof, draw_box
 
 
 def box_iou(a, b):
@@ -35,26 +36,33 @@ def test_identical_images_keep_full_box():
     assert box.dissim == 0
 
 
-def test_dissim_ssd_values_and_errors():
-    a = np.array([[255, 0], [10, 20]], dtype=np.uint8)
-    b = np.array([[0, 255], [10, 25]], dtype=np.uint8)
-    assert dissim_ssd(a, b) == 255**2 + 255**2 + 25
-    assert isinstance(dissim_ssd(a, b), int)
-    # worst case has no wraparound: full-range difference over a big image
+def test_ssd_sum_is_exact_and_printed_exactly():
+    # worst case has no wraparound: full-range difference over a big image,
+    # a sum past 2**31 that the box line prints digit for digit
     big_a = np.full((200, 200), 255, dtype=np.uint8)
     big_b = np.zeros((200, 200), dtype=np.uint8)
-    assert dissim_ssd(big_a, big_b) == 200 * 200 * 255**2
-    with pytest.raises(ShapeError):
-        dissim_ssd(a, b[:1])
+    box = compute_rof(big_a, big_b)
+    assert box.dissim == 200 * 200 * 255**2
+    assert isinstance(box.dissim, int)
+    assert box.text_line() == "0 0 199 199 ssd 2601000000"
+    # a fused synthetic pair, as `postprocess` makes it
+    sample = datakit.synth_pairs(3, 128, np.random.default_rng(7))[0]
+    fused = fusion.histogram_equalize(fusion.average_fuse(sample.thermal, sample.optical))
+    assert compute_rof(sample.thermal, fused).text_line() == "17 0 127 114 ssd 78415235"
 
 
 @pytest.mark.parametrize("metric", ["ssd", "ssim"])
 def test_integral_and_direct_agree_exactly(metric):
     # shapes on both sides of the 11-px SSIM window
     rng = np.random.default_rng(33)
-    for shape in [(8, 30), (16, 16), (40, 24)] * 2:
+    for shape in [(8, 30), (11, 30), (16, 16), (40, 24)] * 2:
         thermal = rng.integers(0, 256, size=shape, dtype=np.uint8)
         fused = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        if metric == "ssim" and min(shape) < SSIM_WINDOW:
+            for use_integral in (True, False):
+                with pytest.raises(ValidationError):
+                    compute_rof(thermal, fused, metric, use_integral=use_integral)
+            continue
         fast = compute_rof(thermal, fused, metric, use_integral=True)
         slow = compute_rof(thermal, fused, metric, use_integral=False)
         assert fast == slow  # dataclass equality: bounds, metric and dissim
@@ -74,18 +82,6 @@ def windowed_mean_calls(monkeypatch):
     return calls
 
 
-def test_ssim_near_ties_decided_as_direct(windowed_mean_calls):
-    # one flipped low bit in a corner leaves 1 - SSIM so close to 0 that
-    # the map table's last-bit rounding cannot call the comparisons
-    rng = np.random.default_rng(4)
-    thermal = rng.integers(0, 256, size=(28, 32), dtype=np.uint8)
-    fused = thermal.copy()
-    fused[27, 30] ^= 1
-    fast = compute_rof(thermal, fused, "ssim", use_integral=True)
-    assert len(windowed_mean_calls) > 10  # some strips were recomputed
-    assert fast == compute_rof(thermal, fused, "ssim", use_integral=False)
-
-
 def _image_pairs():
     shape = st.tuples(st.integers(1, 40), st.integers(1, 40))
     return shape.flatmap(
@@ -96,9 +92,14 @@ def _image_pairs():
 @given(_image_pairs())
 def test_ssim_table_matches_direct(pair):
     thermal, fused = pair
-    assert compute_rof(thermal, fused, "ssim", use_integral=True) == compute_rof(
-        thermal, fused, "ssim", use_integral=False
-    )
+    if min(thermal.shape) < SSIM_WINDOW:
+        for use_integral in (True, False):
+            with pytest.raises(ValidationError):
+                compute_rof(thermal, fused, "ssim", use_integral=use_integral)
+        return
+    fast = compute_rof(thermal, fused, "ssim", use_integral=True)
+    assert fast == compute_rof(thermal, fused, "ssim", use_integral=False)
+    assert min(fast.x2 - fast.x1, fast.y2 - fast.y1) + 1 >= SSIM_WINDOW
 
 
 def test_ssim_work_per_strip_is_constant(windowed_mean_calls):
@@ -137,6 +138,37 @@ def test_blob_recovery_with_noise():
     assert box_iou(got, want) >= 0.8
 
 
+def test_ssim_box_finds_a_scrambled_blob():
+    # 1 - SSIM summed per window: the box closes in on the blob, though a
+    # window straddling its edge still counts, and never drops below 11 px
+    grow = SSIM_WINDOW - 1
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        thermal = rng.integers(0, 256, size=(64, 64), dtype=np.uint8)
+        fused = thermal.copy()
+        fused[20:40, 25:45] = rng.integers(0, 256, size=(20, 20), dtype=np.uint8)
+        box = compute_rof(thermal, fused, "ssim")
+        assert box_iou(box, RofBox(20, 39, 25, 44)) > 0
+        assert 20 - grow <= box.x1 and box.x2 <= 39 + grow
+        assert 25 - grow <= box.y1 and box.y2 <= 44 + grow
+        assert min(box.x2 - box.x1, box.y2 - box.y1) + 1 >= SSIM_WINDOW
+
+
+def test_ssim_dissim_is_the_box_mean_within_rounding():
+    # each window's cost is 1 - SSIM rounded to 2**-24, so the box's mean
+    # cost is within that of 1 - SSIM over the box's own pixels
+    rng = np.random.default_rng(12)
+    thermal = rng.integers(0, 256, size=(48, 40), dtype=np.uint8)
+    fused = thermal.copy()
+    fused[10:30, 5:25] ^= 0x5A
+    for use_integral in (True, False):
+        box = compute_rof(thermal, fused, "ssim", use_integral=use_integral)
+        region = (slice(box.x1, box.x2 + 1), slice(box.y1, box.y2 + 1))
+        want = 1.0 - metrics.ssim(thermal[region], fused[region])
+        assert isinstance(box.dissim, float)
+        assert abs(box.dissim - want) <= 2.0**-24
+
+
 def test_ssim_metric_and_errors():
     rng = np.random.default_rng(55)
     thermal = rng.integers(0, 256, size=(24, 24), dtype=np.uint8)
@@ -150,6 +182,8 @@ def test_ssim_metric_and_errors():
         compute_rof(thermal, fused, metric="cosine")
     with pytest.raises(ValidationError):
         compute_rof(thermal, fused, metric=lambda a, b: 0)
+    with pytest.raises(ValidationError):
+        compute_rof(thermal, fused, metric=np.array(["ssd", "ssim"]))
     with pytest.raises(ShapeError):
         compute_rof(thermal, fused[:12])
 

@@ -1,8 +1,9 @@
 """Averaging fusion, histogram equalization and training-target assembly.
 
 Images live in two forms: 8-bit grids (uint8, values 0-255) for I/O and
-real-valued unit grids ([0,1], float64) for the model. All 8-bit rounding
-uses round-half-away-from-zero so results are bit-reproducible.
+real-valued unit grids ([0,1], float64) for the model, which casts them to
+its own dtype (float32 by default) and computes the mask in it. All 8-bit
+rounding uses round-half-away-from-zero so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -180,13 +181,16 @@ def resize_bilinear(img, out_height: int, out_width: int) -> np.ndarray:
 
 
 def compute_mask(model, thermal) -> np.ndarray:
-    """Run the model on an 8-bit thermal image; unit-form mask at its extent.
+    """Run the model on an 8-bit thermal image; float64 unit-form mask at
+    its extent.
 
     Inputs whose extent differs from the model's are resampled to the model
     extent for the forward pass and the mask is resampled back. The pass is
     gradient-free (`grad=False`), so it leaves no activations on the model.
-    A mask with NaN or infinite values (corrupt weights) raises
-    ValidationError instead of reaching 8-bit output.
+    Corrupt weights raise ValidationError instead of reaching 8-bit output:
+    an overflow or invalid operation anywhere in the pass (the final
+    sigmoid would saturate an infinite activation into a plausible mask),
+    or a NaN or infinite mask value.
     """
     t = as_gray8(thermal)
     height, width = t.shape
@@ -195,9 +199,14 @@ def compute_mask(model, thermal) -> np.ndarray:
     resample = (height, width) != native
     if resample:
         unit = np.clip(resize_bilinear(unit, *native), 0.0, 1.0)
-    mask = model.forward(unit, training=False, grad=False)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            mask = model.forward(unit, training=False, grad=False)
+    except FloatingPointError as exc:
+        raise ValidationError(f"mask stage: the model's forward pass hit {exc}") from None
     if not np.isfinite(mask).all():
         raise ValidationError("mask stage: the model produced non-finite values")
+    mask = mask.astype(np.float64)
     if resample:
         mask = np.clip(resize_bilinear(mask, height, width), 0.0, 1.0)
     return mask

@@ -60,18 +60,28 @@ _BLOCK_KINDS = {
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Build-time knobs: base filter count and input extents.
+    """Build-time knobs: base filter count, input extents and dtype.
 
     Spatial extents must be positive multiples of 32 so the five stride-2
     encoder stages and the quarter-resolution tiling all land on whole
-    pixels.
+    pixels. `dtype` (float32 or float64) is what the parameters are stored
+    in and every layer computes in; it is kept as a `np.dtype`.
     """
 
     dwf: int = 4
     height: int = 128
     width: int = 128
+    dtype: np.dtype = np.dtype(np.float32)
 
     def __post_init__(self):
+        try:
+            dtype = np.dtype(self.dtype)
+        except TypeError:
+            dtype = None
+        # np.dtype(None) is float64, so None is refused by name.
+        if self.dtype is None or dtype not in (np.float32, np.float64):
+            raise ShapeError(f"dtype must be float32 or float64, got {self.dtype!r}")
+        object.__setattr__(self, "dtype", dtype)
         if self.dwf < 1:
             raise ShapeError(f"dwf must be >= 1, got {self.dwf}")
         for label, extent in (("height", self.height), ("width", self.width)):
@@ -162,6 +172,9 @@ class Model:
     its last consumer has run, and the cache of any earlier pass is
     cleared, so `activation` and `backward` raise StateError until the
     next `grad=True` forward. `grad` is independent of `training`.
+
+    The input, any overrides and the gradient given to `backward` are cast
+    to `cfg.dtype`, the dtype every layer computes in.
     """
 
     def __init__(self, cfg: ModelConfig, nodes: list[Node]):
@@ -224,7 +237,7 @@ class Model:
     # -- execution -----------------------------------------------------
 
     def _to_batch(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.cfg.dtype)
         if x.ndim not in (2, 3, 4):
             raise ShapeError(f"expected an image or image batch, got shape {x.shape}")
         x = _batched(x)
@@ -254,7 +267,7 @@ class Model:
             if node.op == "input":
                 y = x
             elif overrides is not None and node.name in overrides:
-                y = np.asarray(overrides[node.name], dtype=np.float64)
+                y = np.asarray(overrides[node.name], dtype=self.cfg.dtype)
                 if y.ndim == 3:
                     y = np.repeat(y[None], n, axis=0)
                 if y.ndim != 4 or y.shape[0] != n:
@@ -286,7 +299,7 @@ class Model:
         """Backpropagate from the final output; returns d(input)."""
         if not self._cache:
             raise StateError("backward needs a preceding forward pass with grad=True")
-        dout = np.asarray(dout, dtype=np.float64)
+        dout = np.asarray(dout, dtype=self.cfg.dtype)
         rank = dout.ndim
         dout = _batched(dout)
         final = self.nodes[-1].name
@@ -308,7 +321,7 @@ class Model:
             elif node.op == "slice":
                 src = node.inputs[0]
                 if src not in grads:
-                    grads[src] = np.zeros(self._cache[src].shape)
+                    grads[src] = np.zeros_like(self._cache[src])
                 grads[src][:, :, :, node.channel : node.channel + 1] += g
             else:  # concat
                 a, b = node.inputs
@@ -349,8 +362,9 @@ def _unbatched(y: np.ndarray, rank: int) -> np.ndarray:
 
 
 class _Builder:
-    def __init__(self, rng):
+    def __init__(self, rng, dtype):
         self.rng = rng
+        self.dtype = dtype
         self.nodes = [Node("input", "input")]
         self.channels = {"input": 1}
 
@@ -360,6 +374,12 @@ class _Builder:
             name, kind, self.channels[src], filters, self.rng,
             dropout=dropout, normalization=normalization,
         )
+        # Layers start in float64, so a seeded model holds the same values
+        # in either dtype; each array is cast once, as its block is built.
+        for _, layer in blk.stores():
+            for arrays in (layer.params, getattr(layer, "buffers", {})):
+                for key, arr in arrays.items():
+                    arrays[key] = arr.astype(self.dtype, copy=False)
         # label=None -> audit row under the node's own name; "" -> unlabelled.
         table_label = name if label is None else (label or None)
         self.nodes.append(
@@ -431,7 +451,7 @@ def _assemble(cfg: ModelConfig, rng) -> Model:
     """The network graph for `cfg`; convolution weights are drawn from
     `rng`, or start at zero when it is None."""
     dwf = cfg.dwf
-    g = _Builder(rng)
+    g = _Builder(rng, cfg.dtype)
 
     # Input encoder: five stride-2 stages down to extent/32, then decode
     # back up to half resolution with a slice-ready depth.
@@ -583,7 +603,8 @@ def load_weights(path, extents: tuple[int, int] | None = None) -> Model:
     The base filter count is recovered from the input-stage kernel; spatial
     extents are free at load time (every layer is extent-agnostic) and
     default to 128x128. No initial weights are drawn: the graph starts at
-    zero and every array is then overwritten from the file.
+    zero and every array is then overwritten from the file. The model is
+    float32, the file's own precision.
     """
     tensors = read_weights_file(path)
     first = tensors.get("inp/conv/w")
@@ -605,8 +626,8 @@ def load_weights(path, extents: tuple[int, int] | None = None) -> Model:
         if surplus:
             detail.append(f"unexpected {surplus[0]!r} and {len(surplus) - 1} more")
         raise FormatError("weights do not match the architecture: " + "; ".join(detail))
-    # In-place assignment casts each float32 view once, into the model's own
-    # arrays, so no second float64 copy of the parameters is ever made.
+    # In-place assignment copies each float32 view once, into the model's
+    # own arrays (casting it when the model is float64).
     for name, arr in tensors.items():
         target = expected[name]
         if arr.shape != target.shape:

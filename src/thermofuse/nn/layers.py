@@ -4,10 +4,15 @@ Their constants (leaky slope, batch-norm eps and momentum, dropout rate) are
 the module-level values below, not constructor arguments. Convolutions take
 an rng for their initial weights; without one the weights start at zero.
 
-Layers operate on batched arrays shaped (batch, height, width, channels)
-in float64. Every `forward` takes `grad`: with `grad=True` (the default) the
-layer caches whatever the backward pass needs, and `backward` must be
-called after that forward. With `grad=False` it runs the same arithmetic,
+Layers operate on batched arrays shaped (batch, height, width, channels).
+A layer with parameters computes in their dtype, casting its input and
+gradient to it; a layer without keeps a floating input's dtype (anything
+else becomes float64). A layer constructed here holds float64 parameters;
+`model.build_model` casts them to the model's dtype (float32 by default).
+
+Every `forward` takes `grad`: with `grad=True` (the default) the layer
+caches whatever the backward pass needs, and `backward` must be called
+after that forward. With `grad=False` it runs the same arithmetic,
 returns a bit-identical result, keeps nothing and drops what an earlier
 forward kept; call `backward` only after a `grad=True` forward. `grad` is
 independent of `training`: an inference-mode forward can still be
@@ -43,9 +48,18 @@ BN_EPS = 1e-3
 BN_MOMENTUM = 0.99
 DROPOUT_RATE = 0.5
 
+def _floating(x) -> np.ndarray:
+    """`x` as an array, keeping a floating dtype and making anything else
+    float64."""
+    x = np.asarray(x)
+    return x if np.issubdtype(x.dtype, np.floating) else x.astype(np.float64)
+
+
 def sigmoid(x):
-    """1 / (1 + exp(-x)), computed without overflow for large |x|."""
-    out = np.empty_like(x, dtype=np.float64)
+    """1 / (1 + exp(-x)), computed without overflow for large |x|, in the
+    dtype of a floating `x` (float64 otherwise)."""
+    x = _floating(x)
+    out = np.empty_like(x)
     pos = x >= 0.0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
@@ -53,8 +67,8 @@ def sigmoid(x):
     return out
 
 
-def _check_batched(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+def _check_batched(x, dtype) -> np.ndarray:
+    x = np.asarray(x, dtype=dtype)
     if x.ndim != 4:
         raise ShapeError(f"layers expect (batch, h, w, channels), got shape {x.shape}")
     return x
@@ -66,6 +80,15 @@ def _same_pads(extent: int, stride: int) -> tuple[int, int]:
     if extent % 2:
         raise ShapeError(f"stride-2 convolution needs even extents, got {extent}")
     return 0, 1
+
+
+def _pad(x: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.ndarray:
+    """`x` zero-padded in height and width (np.pad's result, without its
+    per-call overhead)."""
+    n, h, w, c = x.shape
+    xp = np.zeros((n, top + h + bottom, left + w + right, c), dtype=x.dtype)
+    xp[:, top : top + h, left : left + w] = x
+    return xp
 
 
 def _taps(xp: np.ndarray, stride: int, out_h: int, out_w: int):
@@ -86,7 +109,7 @@ def correlate(
     _BAND_ELEMENTS values, whatever the image size."""
     n, c, f = xp.shape[0], xp.shape[3], w.shape[3]
     band = max(1, _BAND_ELEMENTS // (n * out_w * max(c, f)))
-    y = np.zeros((n, out_h, out_w, f))
+    y = np.zeros((n, out_h, out_w, f), dtype=np.result_type(xp, w))
     for r in range(0, out_h, band):
         y_band = y[:, r : r + band]
         for i, j, tap in _taps(xp[:, stride * r :], stride, y_band.shape[1], out_w):
@@ -98,7 +121,7 @@ def correlate_adjoint(
     dy: np.ndarray, w: np.ndarray, stride: int, padded_shape
 ) -> np.ndarray:
     """Adjoint of `correlate` in xp: tap(dxp) += dy @ w[i, j].T for every tap."""
-    dxp = np.zeros(padded_shape)
+    dxp = np.zeros(padded_shape, dtype=np.result_type(dy, w))
     n, out_h, out_w, f = dy.shape
     dy_flat = dy.reshape(n * out_h * out_w, f)
     for i, j, tap in _taps(dxp, stride, out_h, out_w):
@@ -107,18 +130,19 @@ def correlate_adjoint(
 
 
 def kernel_grad(xp: np.ndarray, dy: np.ndarray, stride: int) -> np.ndarray:
-    """Gradient of `correlate` in w: dw[i, j] = tap(xp).T @ dy."""
+    """Gradient of `correlate` in w: dw[i, j] = tap(xp).T @ dy, each
+    product written straight into its slot."""
     n, out_h, out_w, f = dy.shape
     c = xp.shape[3]
     dy_flat = dy.reshape(n * out_h * out_w, f)
-    dw = np.empty((KERNEL, KERNEL, c, f))
+    dw = np.empty((KERNEL, KERNEL, c, f), dtype=np.result_type(xp, dy))
     for i, j, tap in _taps(xp, stride, out_h, out_w):
-        dw[i, j] = tap.reshape(n * out_h * out_w, c).T @ dy_flat
+        np.matmul(tap.reshape(n * out_h * out_w, c).T, dy_flat, out=dw[i, j])
     return dw
 
 
-def _check_dout(dout, shape) -> np.ndarray:
-    dy = np.asarray(dout, dtype=np.float64)
+def _check_dout(dout, shape, dtype) -> np.ndarray:
+    dy = np.asarray(dout, dtype=dtype)
     if dy.shape != shape:
         raise ShapeError(f"gradient shape {dy.shape} does not match output {shape}")
     return dy
@@ -142,7 +166,7 @@ class Conv2DLayer:
         self._cache = None
 
     def forward(self, x, training: bool = False, rng=None, grad: bool = True):
-        x = _check_batched(x)
+        x = _check_batched(x, self.params["w"].dtype)
         n, h, w, c = x.shape
         if c != self.in_channels:
             raise ShapeError(
@@ -151,7 +175,7 @@ class Conv2DLayer:
         s = self.stride
         pt, pb = _same_pads(h, s)
         pl, pr = _same_pads(w, s)
-        xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+        xp = _pad(x, pt, pb, pl, pr)
         y = correlate(xp, self.params["w"], s, h // s, w // s)
         y += self.params["b"]
         self._cache = (xp, (pt, pl), (h, w)) if grad else None
@@ -160,7 +184,9 @@ class Conv2DLayer:
     def backward(self, dout):
         xp, (pt, pl), (h, w) = self._cache
         s = self.stride
-        dy = _check_dout(dout, (xp.shape[0], h // s, w // s, self.filters))
+        dy = _check_dout(
+            dout, (xp.shape[0], h // s, w // s, self.filters), xp.dtype
+        )
         self.grads["w"] = kernel_grad(xp, dy, s)
         self.grads["b"] = dy.sum(axis=(0, 1, 2))
         dxp = correlate_adjoint(dy, self.params["w"], s, xp.shape)
@@ -183,7 +209,7 @@ class Conv2DTransposeLayer:
         self._cache = None
 
     def forward(self, x, training: bool = False, rng=None, grad: bool = True):
-        x = _check_batched(x)
+        x = _check_batched(x, self.params["w"].dtype)
         n, h, w, c = x.shape
         if c != self.in_channels:
             raise ShapeError(
@@ -199,8 +225,8 @@ class Conv2DTransposeLayer:
     def backward(self, dout):
         x = self._cache
         n, h, w, _ = x.shape
-        dy = _check_dout(dout, (n, 2 * h, 2 * w, self.filters))
-        dyp = np.pad(dy, ((0, 0), (0, 1), (0, 1), (0, 0)))
+        dy = _check_dout(dout, (n, 2 * h, 2 * w, self.filters), x.dtype)
+        dyp = _pad(dy, 0, 1, 0, 1)
         self.grads["w"] = kernel_grad(dyp, x, 2)
         self.grads["b"] = dy.sum(axis=(0, 1, 2))
         return correlate(dyp, self.params["w"], 2, h, w)
@@ -211,7 +237,8 @@ class BatchNormLayer:
 
     Training mode normalizes by batch moments and updates the running
     mean/variance with momentum BN_MOMENTUM; inference mode normalizes by
-    the running statistics. BN_EPS is added inside the square root.
+    the running statistics, and so does training mode on a batch with a
+    single value per channel. BN_EPS is added inside the square root.
     """
 
     def __init__(self, channels: int):
@@ -228,28 +255,37 @@ class BatchNormLayer:
         self._cache = None
 
     def forward(self, x, training: bool = False, rng=None, grad: bool = True):
-        x = _check_batched(x)
+        x = _check_batched(x, self.params["gamma"].dtype)
         if x.shape[-1] != self.channels:
             raise ShapeError(f"expected {self.channels} channels, got {x.shape[-1]}")
         if training:
             if x.shape[0] == 0:
                 raise StateError("batch normalization needs a non-empty batch")
+            # One value per channel has no batch statistics: the output would
+            # be beta whatever the input, and the constant layers after it
+            # would each scale gradients by up to 1/sqrt(BN_EPS) (to ~1e30 at
+            # 32x32 in a batch of one, past what float32 can square). Such a
+            # batch is normalized like inference, by the running statistics.
+            training = x[..., 0].size > 1
+        if training:
             mean = x.mean(axis=(0, 1, 2))
-            var = x.var(axis=(0, 1, 2))
+            centered = x - mean
+            # np.var's own arithmetic, with the centred batch kept for xhat.
+            var = (centered * centered).mean(axis=(0, 1, 2))
             m = BN_MOMENTUM
             self.buffers["moving_mean"] = m * self.buffers["moving_mean"] + (1 - m) * mean
             self.buffers["moving_var"] = m * self.buffers["moving_var"] + (1 - m) * var
         else:
-            mean = self.buffers["moving_mean"]
+            centered = x - self.buffers["moving_mean"]
             var = self.buffers["moving_var"]
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (x - mean) * inv_std
+        xhat = centered * inv_std
         self._cache = (xhat, inv_std, training) if grad else None
         return self.params["gamma"] * xhat + self.params["beta"]
 
     def backward(self, dout):
         xhat, inv_std, training = self._cache
-        dout = np.asarray(dout, dtype=np.float64)
+        dout = np.asarray(dout, dtype=xhat.dtype)
         self.grads["gamma"] = (dout * xhat).sum(axis=(0, 1, 2))
         self.grads["beta"] = dout.sum(axis=(0, 1, 2))
         dxhat = dout * self.params["gamma"]
@@ -268,7 +304,7 @@ class ReLULayer:
         self._mask = None
 
     def forward(self, x, training: bool = False, rng=None, grad: bool = True):
-        x = np.asarray(x, dtype=np.float64)
+        x = _floating(x)
         mask = x >= 0.0
         self._mask = mask if grad else None
         return np.where(mask, x, 0.0)
@@ -284,7 +320,7 @@ class LeakyReLULayer:
         self._mask = None
 
     def forward(self, x, training: bool = False, rng=None, grad: bool = True):
-        x = np.asarray(x, dtype=np.float64)
+        x = _floating(x)
         mask = x >= 0.0
         self._mask = mask if grad else None
         return np.where(mask, x, LEAKY_ALPHA * x)
@@ -300,7 +336,7 @@ class SigmoidLayer:
         self._out = None
 
     def forward(self, x, training: bool = False, rng=None, grad: bool = True):
-        out = sigmoid(np.asarray(x, dtype=np.float64))
+        out = sigmoid(x)
         self._out = out if grad else None
         return out
 
@@ -318,14 +354,15 @@ class DropoutLayer:
         self._mask = None
 
     def forward(self, x, training: bool = False, rng=None, grad: bool = True):
-        x = np.asarray(x, dtype=np.float64)
+        x = _floating(x)
         if not training:
             self._mask = None
             return x
         if rng is None:
             raise StateError("dropout in training mode needs an rng")
-        keep = 1.0 - DROPOUT_RATE
-        mask = (rng.random(x.shape) >= DROPOUT_RATE) / keep
+        # float64 draws in every dtype, so the random stream is dtype-free.
+        mask = (rng.random(x.shape) >= DROPOUT_RATE).astype(x.dtype)
+        mask /= 1.0 - DROPOUT_RATE
         self._mask = mask if grad else None
         return x * mask
 

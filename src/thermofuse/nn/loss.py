@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
+from .layers import _floating
 
 _LOG2 = float(np.log(2.0))
 
@@ -18,9 +19,11 @@ def logcosh_loss(pred, target) -> tuple[float, np.ndarray]:
     """Return (mean log-cosh of the residual, gradient w.r.t. pred).
 
     The gradient is tanh(pred - target) / n where n is the element count.
+    Both are computed in the dtype of a floating `pred` (float64 otherwise);
+    `target` is cast to it.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
+    pred = _floating(pred)
+    target = np.asarray(target, dtype=pred.dtype)
     if pred.shape != target.shape:
         raise ShapeError(f"shape mismatch: {pred.shape} vs {target.shape}")
     x = pred - target

@@ -41,8 +41,9 @@ def train_model(
         )
     if not 0.0 < lr < float("inf"):  # false for NaN as well
         raise ValidationError(f"learning rate must be positive and finite, got {lr}")
-    inputs = np.stack([np.asarray(p.input, dtype=np.float64) for p in pairs])[..., None]
-    targets = np.stack([np.asarray(p.target, dtype=np.float64) for p in pairs])[..., None]
+    dtype = model.cfg.dtype
+    inputs = np.stack([np.asarray(p.input, dtype=dtype) for p in pairs])[..., None]
+    targets = np.stack([np.asarray(p.target, dtype=dtype) for p in pairs])[..., None]
     count = len(pairs)
     optimizer = Adam(lr=lr)
     params = model.parameters()

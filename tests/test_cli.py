@@ -248,6 +248,40 @@ def test_train_non_finite_loss_is_error_two(tmp_path, capsys):
     assert not weights.exists()
 
 
+def test_infer_with_huge_finite_kernels_writes_no_mask(tmp_path, capsys):
+    # Finite in float32, but products of 1e30 kernels overflow within two
+    # layers; the sigmoid would turn the infinities into an all-ones mask.
+    from thermofuse.model import ModelConfig, build_model, save_weights
+
+    model = build_model(ModelConfig(dwf=1, height=32, width=32), seed=1)
+    for name, arr in model.parameters().items():
+        if name.endswith("conv/w"):
+            arr[...] = 1e30
+    weights = tmp_path / "huge.tofw"
+    save_weights(model, weights)
+    thermal = tmp_path / "t.pgm"
+    write_pgm(np.full((32, 32), 90, dtype=np.uint8), thermal)
+    out = tmp_path / "m.pgm"
+    rc = main(["infer", str(weights), str(thermal), "--out", str(out)])
+    assert_error_two(rc, capsys, "mask stage: the model's forward pass hit overflow")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_overflowing_loss_is_error_two(tmp_path, capsys):
+    # A learning rate of 1e30 is finite in float32 and leaves finite weights
+    # of about 1e30 after the first Adam step; the second batch's forward
+    # pass then overflows and its loss is not finite.
+    annotations = synth_one(tmp_path)
+    weights = tmp_path / "w.tofw"
+    loss_csv = tmp_path / "loss.csv"
+    rc = main(["train", str(annotations), "--out", str(weights), "--seed", "1",
+               "--epochs", "2", "--batch-size", "1", "--dwf", "1", "--crop-size", "32",
+               "--per-box", "1", "--lr", "1e30", "--loss-csv", str(loss_csv)])
+    assert_error_two(rc, capsys, "training loss is not finite at epoch 1, step 2")
+    assert not weights.exists() and not loss_csv.exists()
+
+
 def test_train_out_of_memory_is_error_two(tmp_path, capsys, monkeypatch):
     annotations = synth_one(tmp_path)
 

@@ -138,6 +138,22 @@ def test_batchnorm_inference_uses_moving_stats():
     assert np.allclose(y[..., 1], (1.0 + 1.0) / np.sqrt(0.25 + 1e-3), atol=1e-12)
 
 
+def test_batchnorm_one_value_per_channel_uses_moving_stats():
+    # A batch of one 1x1 map has no batch statistics; training mode then
+    # normalizes like inference and leaves the running statistics alone.
+    layer = BatchNormLayer(2)
+    layer.buffers["moving_mean"][:] = [1.0, -1.0]
+    layer.buffers["moving_var"][:] = [4.0, 0.25]
+    x = np.array([[[[3.0, 0.5]]]])
+    want = layer.forward(x, training=False)
+    dy = np.array([[[[0.7, -1.3]]]])
+    want_dx = layer.backward(dy)
+    assert np.array_equal(layer.forward(x, training=True), want)
+    assert np.array_equal(layer.backward(dy), want_dx)
+    assert np.array_equal(layer.buffers["moving_mean"], [1.0, -1.0])
+    assert np.array_equal(layer.buffers["moving_var"], [4.0, 0.25])
+
+
 def test_dropout_scaling_and_determinism():
     x = np.ones((2, 4, 4, 3))
     layer = DropoutLayer()

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from thermofuse import ShapeError
+from thermofuse import ShapeError, StateError
 from thermofuse.nn import Adam, NonFiniteGradientError, logcosh_loss
 from thermofuse.nn.gradcheck import gradient_check_fn
 
@@ -121,3 +122,64 @@ def test_adam_descends_on_quadratic():
     for _ in range(500):
         opt.step({"w": p}, {"w": 2.0 * p})
     assert np.abs(p).max() < 1e-2
+
+
+def reference_adam_step(opt, state, params, grads):
+    """The out-of-place update Adam.step replaced, kept as the reference."""
+    state["t"] += 1
+    t = state["t"]
+    c1 = (1.0 - opt.beta1) / (1.0 - opt.beta1**t)
+    c2 = (1.0 - opt.beta2) / (1.0 - opt.beta2**t)
+    for name, p in params.items():
+        g = grads[name]
+        m = state["m"].setdefault(name, np.zeros_like(p))
+        v = state["v"].setdefault(name, np.zeros_like(p))
+        m += c1 * (g - m)
+        v += c2 * (g * g - v)
+        p -= opt.lr * m / (np.sqrt(v) + opt.eps)
+
+
+def test_adam_in_place_matches_out_of_place_bitwise():
+    # Shapes below, at and across the update's chunk size, and a scalar.
+    rng = np.random.default_rng(45)
+    shapes = {"w": (3, 3, 5, 7), "b": (7,), "s": (), "big": (40000,), "m": (3, 16384)}
+    params = {k: rng.normal(size=s) for k, s in shapes.items()}
+    ref = {k: p.copy() for k, p in params.items()}
+    opt = Adam(lr=0.02)
+    state = {"t": 0, "m": {}, "v": {}}
+    for _ in range(30):
+        grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=s)
+                 for k, s in shapes.items()}
+        opt.step(params, grads)
+        reference_adam_step(opt, state, ref, grads)
+        for k in shapes:
+            assert np.array_equal(params[k], ref[k]), k
+            assert np.array_equal(opt.m[k], state["m"][k]), k
+            assert np.array_equal(opt.v[k], state["v"][k]), k
+
+
+def test_adam_step_allocates_less_than_one_parameter():
+    rng = np.random.default_rng(46)
+    params = {"w": rng.normal(size=(3, 3, 64, 64)), "b": rng.normal(size=64)}
+    grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
+    opt = Adam()
+    opt.step(params, grads)  # allocates m, v and the scratch rows
+    tracemalloc.start()
+    try:
+        opt.step(params, grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The out-of-place update peaked at two temporaries of the largest tensor.
+    assert peak < params["w"].nbytes
+
+
+def test_adam_rejects_non_contiguous_parameters_and_keeps_state():
+    # A flat view of a strided parameter would be a copy, losing the update.
+    p = np.zeros(3)
+    q = np.zeros((4, 4))[:, ::2]
+    opt = Adam()
+    with pytest.raises(StateError, match="C-contiguous: q"):
+        opt.step({"p": p, "q": q}, {"p": np.ones(3), "q": np.ones((4, 2))})
+    assert opt.step_count == 0 and not opt.m
+    assert np.array_equal(p, np.zeros(3))

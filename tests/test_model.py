@@ -15,6 +15,7 @@ from thermofuse.model import (
     save_weights,
 )
 from thermofuse.nn import (
+    Adam,
     BatchNormLayer,
     Conv2DLayer,
     Conv2DTransposeLayer,
@@ -98,6 +99,46 @@ def test_config_validation():
         ModelConfig(height=48)  # not a multiple of 32
     with pytest.raises(ShapeError):
         ModelConfig(width=0)
+    for dtype in (np.float16, np.int32, np.complex128, None, "nonsense"):
+        with pytest.raises(ShapeError):
+            ModelConfig(dtype=dtype)
+
+
+@pytest.mark.parametrize(
+    "extra,dtype", [({}, np.float32), ({"dtype": np.float64}, np.float64)]
+)
+def test_dtype_reaches_every_array(extra, dtype):
+    # float32 by default, float64 when asked: the output, every activation
+    # (dropout masks, sigmoid, correlate accumulators), every gradient a
+    # layer receives (slice-gradient zeros) or keeps, the batch-norm
+    # statistics and Adam's moments all share the config's dtype.
+    model = build_model(ModelConfig(dwf=1, height=32, width=32, **extra), seed=4)
+    assert model.cfg.dtype == dtype
+    received = []
+    for block in model.blocks:
+        for layer in block.layers:
+            def spy(dout, backward=layer.backward):
+                received.append(dout.dtype)
+                return backward(dout)
+            layer.backward = spy
+    rng = np.random.default_rng(4)
+    x = rng.uniform(size=(2, 32, 32, 1))
+    y = model.forward(x, training=True, rng=rng)
+    assert y.dtype == dtype
+    for node in model.nodes:
+        assert model.activation(node.name).dtype == dtype, node.name
+    assert model.backward(rng.normal(size=y.shape)).dtype == dtype
+    assert received and set(received) == {np.dtype(dtype)}
+    grads = model.gradients()
+    for name, g in grads.items():
+        assert g.dtype == dtype, name
+    for name, arr in model.state_items():
+        assert arr.dtype == dtype, name
+    opt = Adam()
+    opt.step(model.parameters(), grads)
+    for name in grads:
+        assert opt.m[name].dtype == dtype and opt.v[name].dtype == dtype, name
+    assert model.forward(x, grad=False).dtype == dtype
 
 
 @pytest.mark.parametrize(
@@ -260,8 +301,14 @@ def test_injection_rejects_wrong_shape():
         model.forward(np.zeros((32, 32)), overrides={"hl1": np.zeros((4, 4, 1))})
 
 
+def float64_model(seed):
+    # Central differences at these eps need float64: the reference path.
+    cfg = ModelConfig(dwf=1, height=32, width=32, dtype=np.float64)
+    return build_model(cfg, seed=seed)
+
+
 def test_directional_derivative_over_parameters():
-    model = small_model()
+    model = float64_model(seed=3)
     rng = np.random.default_rng(77)
     x = rng.uniform(size=(2, 32, 32, 1))
     target = rng.uniform(size=(2, 32, 32, 1))
@@ -292,7 +339,7 @@ def test_directional_derivative_over_parameters():
 
 
 def test_directional_derivative_over_input():
-    model = small_model(seed=5)
+    model = float64_model(seed=5)
     rng = np.random.default_rng(13)
     x = rng.uniform(size=(1, 32, 32, 1))
     target = rng.uniform(size=(1, 32, 32, 1))
@@ -404,6 +451,18 @@ def test_save_matches_independent_packer(tmp_path):
     save_weights(model, path)
     want = pack_weights([(n, t) for n, t in model.state_items()])
     assert path.read_bytes() == want
+
+
+def test_seeded_weights_file_does_not_depend_on_dtype(tmp_path):
+    # Weights are drawn in float64 and cast once, so both dtypes hold the
+    # same float32 values and write the same bytes.
+    files = []
+    for dtype in (np.float32, np.float64):
+        path = tmp_path / f"{np.dtype(dtype).name}.tofw"
+        cfg = ModelConfig(dwf=1, height=32, width=32, dtype=dtype)
+        save_weights(build_model(cfg, seed=8), path)
+        files.append(path.read_bytes())
+    assert files[0] == files[1]
 
 
 def test_save_load_round_trip(tmp_path):

@@ -164,7 +164,6 @@ def cmd_train(args) -> int:
         pairs,
         epochs=settings["epochs"], batch_size=settings["batch_size"],
         seed=settings["seed"], lr=settings["lr"], loss_csv=settings["loss_csv"],
-        log_every=max(1, settings["epochs"] // 10),
     )
     save_weights(model, args.out)
     print(

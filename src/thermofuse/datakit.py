@@ -32,8 +32,6 @@ from .fusion import (
 
 log = logging.getLogger(__name__)
 
-CLASS_NAMES = {1: "nat", 2: "ani", 3: "hum", 4: "cro", 5: "inf"}
-
 CROP_SIZE = 128
 
 
@@ -193,8 +191,8 @@ def _parse_record(record, base: Path) -> AnnotatedSample:
 
 def random_crops(
     sample: AnnotatedSample,
-    per_box: int = 10,
-    rng=None,
+    per_box: int,
+    rng: np.random.Generator,
     crop_size: int = CROP_SIZE,
 ) -> list[TrainingPair]:
     """Per box, sample `per_box` windows containing it and build pairs.
@@ -210,8 +208,6 @@ def random_crops(
         )
     if per_box < 1:
         raise ValidationError(f"per_box must be positive, got {per_box}")
-    if rng is None:
-        rng = np.random.default_rng()
     thermal = as_gray8(sample.thermal)
     optical = as_gray8(sample.optical)
     if thermal.shape != optical.shape:
@@ -253,7 +249,7 @@ def random_crops(
 # -- synthetic pairs ---------------------------------------------------
 
 
-def synth_pairs(n: int, extent: int = 128, rng=None) -> list[AnnotatedSample]:
+def synth_pairs(n: int, extent: int, rng: np.random.Generator) -> list[AnnotatedSample]:
     """Generate registered thermal/optical samples with elliptical objects.
 
     Backgrounds are smooth random fields; each of 1-3 objects is an ellipse
@@ -263,8 +259,6 @@ def synth_pairs(n: int, extent: int = 128, rng=None) -> list[AnnotatedSample]:
     """
     if extent < 128:
         raise ValidationError(f"synthetic extent must be at least 128, got {extent}")
-    if rng is None:
-        rng = np.random.default_rng()
     samples = []
     for i in range(n):
         thermal, optical, boxes = _synth_one(extent, rng)

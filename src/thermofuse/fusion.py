@@ -24,15 +24,17 @@ def round_half_away(x):
 
 
 def as_gray8(img) -> np.ndarray:
-    """Validate and return a 2-D uint8 intensity grid."""
+    """Validate and return a non-empty 2-D uint8 intensity grid."""
     arr = np.asarray(img)
     if arr.ndim != 2:
         raise ShapeError(f"expected a 2-D image, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ShapeError(f"empty image {arr.shape}")
     if arr.dtype == np.uint8:
         return arr
     if not np.issubdtype(arr.dtype, np.integer):
         raise ShapeError(f"expected 8-bit intensities, got dtype {arr.dtype}")
-    if arr.size and (arr.min() < 0 or arr.max() > 255):
+    if arr.min() < 0 or arr.max() > 255:
         raise ValidationError("intensities outside [0, 255]")
     return arr.astype(np.uint8)
 
@@ -151,9 +153,8 @@ def build_training_target(thermal, optical, boxes) -> np.ndarray:
         box.validate(height, width)
     target = t.copy()
     for box in boxes:
-        region_t = t[box.rows, box.cols].astype(np.int32)
-        region_o = o[box.rows, box.cols]
-        target[box.rows, box.cols] = ((region_t + region_o + 1) // 2).astype(np.uint8)
+        region = box.rows, box.cols
+        target[region] = average_fuse(t[region], o[region])
     return target
 
 
@@ -164,6 +165,8 @@ def resize_bilinear(img, out_height: int, out_width: int) -> np.ndarray:
     src = np.asarray(img, dtype=np.float64)
     if src.ndim != 2:
         raise ShapeError(f"expected a 2-D image, got shape {src.shape}")
+    if src.size == 0:
+        raise ShapeError(f"empty image {src.shape}")
     h, w = src.shape
     if (h, w) == (out_height, out_width):
         return src.copy()
@@ -195,7 +198,7 @@ def compute_mask(model, thermal) -> np.ndarray:
     t = as_gray8(thermal)
     height, width = t.shape
     native = (model.cfg.height, model.cfg.width)
-    unit = t.astype(np.float64) / 255.0
+    unit = to_unit(t)
     resample = (height, width) != native
     if resample:
         unit = np.clip(resize_bilinear(unit, *native), 0.0, 1.0)

@@ -198,10 +198,6 @@ class Model:
 
     # -- introspection -------------------------------------------------
 
-    @property
-    def blocks(self) -> list[Block]:
-        return [n.block for n in self.nodes if n.block is not None]
-
     def parameters(self) -> dict[str, np.ndarray]:
         """Live parameter arrays keyed by '<node>/<layer>/<tensor>'."""
         return self._params
@@ -223,9 +219,6 @@ class Model:
             for attr in attrs
             for key, arr in getattr(layer, attr, {}).items()
         }
-
-    def parameter_count(self) -> int:
-        return sum(arr.size for arr in self._params.values())
 
     def activation(self, name: str) -> np.ndarray:
         if name not in self._cache:
@@ -439,12 +432,12 @@ class _Builder:
         return prev
 
 
-def build_model(cfg: ModelConfig | None = None, seed: int = 0, rng=None) -> Model:
-    """Assemble the full network graph for `cfg` with fresh parameters."""
+def build_model(cfg: ModelConfig | None = None, seed=0) -> Model:
+    """Assemble the full network graph for `cfg` with fresh parameters drawn
+    from `np.random.default_rng(seed)`: `seed` is an integer or a
+    `SeedSequence`."""
     cfg = ModelConfig() if cfg is None else cfg
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    return _assemble(cfg, rng)
+    return _assemble(cfg, np.random.default_rng(seed))
 
 
 def _assemble(cfg: ModelConfig, rng) -> Model:

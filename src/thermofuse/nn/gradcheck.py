@@ -3,8 +3,12 @@
 A layer is probed through the scalar objective f = sum(forward(x) * R)
 with a fixed random projection R, so every output element contributes with
 its own weight; the analytic gradients from backward(R) are compared
-element by element against (f(.+h) - f(.-h)) / 2h. The configuration must
-be deterministic: dropout disabled and batch statistics frozen.
+element by element against (f(.+h) - f(.-h)) / 2h with h = 1e-5. R is
+drawn from a generator seeded with 0, so a check is reproducible. The
+forward pass must be a deterministic function of its input: no dropout in
+training mode. Batch normalization qualifies in either mode, with frozen
+running statistics (training=False) or with batch statistics
+(training=True).
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _DENOM_FLOOR = 1e-8
+_H = 1e-5
+_TOLERANCE = 1e-4
 
 
 @dataclass
@@ -52,40 +58,33 @@ def _rel_err(analytic: float, numeric: float) -> float:
     return diff / denom
 
 
-def _max_rel_err_block(arr: np.ndarray, analytic: np.ndarray, f, h: float) -> float:
+def _max_rel_err_block(arr: np.ndarray, analytic: np.ndarray, f) -> float:
     worst = 0.0
     flat = arr.reshape(-1)
     ana = analytic.reshape(-1)
     for i in range(flat.size):
         old = flat[i]
-        flat[i] = old + h
+        flat[i] = old + _H
         fp = f()
-        flat[i] = old - h
+        flat[i] = old - _H
         fm = f()
         flat[i] = old
-        numeric = (fp - fm) / (2.0 * h)
+        numeric = (fp - fm) / (2.0 * _H)
         worst = max(worst, _rel_err(float(ana[i]), numeric))
     return worst
 
 
 def gradient_check(
-    layer,
-    x,
-    tolerance: float = 1e-4,
-    h: float = 1e-5,
-    rng=None,
-    training: bool = False,
+    layer, x, tolerance: float = _TOLERANCE, training: bool = False
 ) -> GradCheckReport:
     """Check a layer's backward against central differences.
 
     Probes the input and every parameter block; returns a report naming
     the worst relative error per block.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     x = np.array(x, dtype=np.float64)
     y0 = layer.forward(x, training=training)
-    projection = rng.standard_normal(y0.shape)
+    projection = np.random.default_rng(0).standard_normal(y0.shape)
 
     def objective() -> float:
         return float(np.sum(layer.forward(x, training=training) * projection))
@@ -95,17 +94,18 @@ def gradient_check(
 
     report = GradCheckReport(tolerance=tolerance)
     report.entries.append(
-        GradCheckEntry("input", _max_rel_err_block(x, np.asarray(dx), objective, h))
+        GradCheckEntry("input", _max_rel_err_block(x, np.asarray(dx), objective))
     )
     for name, p in layer.params.items():
         report.entries.append(
-            GradCheckEntry(name, _max_rel_err_block(p, param_grads[name], objective, h))
+            GradCheckEntry(name, _max_rel_err_block(p, param_grads[name], objective))
         )
     return report
 
 
-def gradient_check_fn(fn, x, tolerance: float = 1e-4, h: float = 1e-5) -> GradCheckReport:
-    """Check a scalar function `fn(x) -> (value, grad)` the same way."""
+def gradient_check_fn(fn, x) -> GradCheckReport:
+    """Check a scalar function `fn(x) -> (value, grad)` the same way, at
+    the default tolerance."""
     x = np.array(x, dtype=np.float64)
     _, grad = fn(x)
     grad = np.array(grad, dtype=np.float64)
@@ -113,8 +113,8 @@ def gradient_check_fn(fn, x, tolerance: float = 1e-4, h: float = 1e-5) -> GradCh
     def objective() -> float:
         return float(fn(x)[0])
 
-    report = GradCheckReport(tolerance=tolerance)
+    report = GradCheckReport(tolerance=_TOLERANCE)
     report.entries.append(
-        GradCheckEntry("input", _max_rel_err_block(x, grad, objective, h))
+        GradCheckEntry("input", _max_rel_err_block(x, grad, objective))
     )
     return report

@@ -1,15 +1,17 @@
 """Adaptive-moment optimizer with bias-corrected moving averages.
 
-beta1 = 0.9 and beta2 = 0.999 weight the first/second moment averages;
-both are stored directly in bias-corrected form through the equivalent
-recurrence
+BETA1 = 0.9 and BETA2 = 0.999 weight the first/second moment averages and
+EPS = 1e-8 guards the step's denominator: the published defaults (Kingma
+& Ba, arXiv 1412.6980), fixed because the training recipe uses no others;
+only the learning rate is a setting. Both moments are stored directly in
+bias-corrected form through the equivalent recurrence
 
-    m <- m + c_t * (g - m),      c_t = (1 - beta1) / (1 - beta1^t)
+    m <- m + c_t * (g - m),      c_t = (1 - BETA1) / (1 - BETA1^t)
 
 whose mixing weights sum to one by construction (same real value as
-dividing the plain moving average by 1 - beta1^t, but the step-1
+dividing the plain moving average by 1 - BETA1^t, but the step-1
 correction is exact: c_1 == 1.0, so the corrected first moment equals the
-gradient bit-for-bit). The parameter step is lr * m / (sqrt(v) + eps).
+gradient bit-for-bit). The parameter step is lr * m / (sqrt(v) + EPS).
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ from ..errors import StateError, ThermofuseError
 # Values per pass of the update loop: a chunk of p, g, m, v and the two
 # scratch rows stays in cache across the update's twelve ufunc passes.
 _CHUNK = 1 << 14
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 class NonFiniteGradientError(ThermofuseError):
@@ -34,17 +40,8 @@ class NonFiniteGradientError(ThermofuseError):
 
 
 class Adam:
-    def __init__(
-        self,
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, lr: float = 1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -67,8 +64,8 @@ class Adam:
             raise StateError("parameters are not C-contiguous: " + ", ".join(loose))
         self.step_count += 1
         t = self.step_count
-        c1 = (1.0 - self.beta1) / (1.0 - self.beta1**t)
-        c2 = (1.0 - self.beta2) / (1.0 - self.beta2**t)
+        c1 = (1.0 - BETA1) / (1.0 - BETA1**t)
+        c2 = (1.0 - BETA2) / (1.0 - BETA2**t)
         for name, p in params.items():
             m = self.m.get(name)
             if m is None:
@@ -84,7 +81,7 @@ class Adam:
         """One chunk of the update, in the operation order of
 
             m += c1 * (g - m);  v += c2 * (g * g - v)
-            p -= lr * m / (sqrt(v) + eps)
+            p -= lr * m / (sqrt(v) + EPS)
 
         through the scratch rows, so the results are bit-identical to
         those expressions and nothing is allocated."""
@@ -98,6 +95,6 @@ class Adam:
         v += s
         np.multiply(m, self.lr, out=u)
         np.sqrt(v, out=s)
-        s += self.eps
+        s += EPS
         np.divide(u, s, out=s)
         p -= s

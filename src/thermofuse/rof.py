@@ -93,8 +93,6 @@ def compute_rof(thermal, fused, metric="ssd", use_integral: bool = True) -> RofB
     f = as_gray8(fused)
     if t.shape != f.shape:
         raise ShapeError(f"extent mismatch: {t.shape} vs {f.shape}")
-    if t.size == 0:
-        raise ShapeError(f"empty image {t.shape}")
     costs, margin = _costs(t, f, metric)
     sat = _summed_area(costs) if use_integral else None
 

@@ -1,10 +1,11 @@
 """Deterministic minibatch training with logcosh loss and Adam.
 
-All randomness flows from one integer seed through four child streams of
-its seed sequence: 0 parameter initialization, 1 epoch shuffling and
-2 dropout masks (`train_from_pairs`), 3 crop sampling (`crop_pairs`, one
-grandchild per registered sample). So two runs with equal seed and data
-produce bit-identical crops, losses and weights.
+All randomness flows from one integer seed through the four child streams
+of its seed sequence (`_streams`): 0 parameter initialization, 1 epoch
+shuffling and 2 dropout masks (`train_from_pairs`), 3 crop sampling
+(`crop_pairs`, one grandchild per registered sample). So two runs with
+equal seed and data produce bit-identical crops, losses and weights.
+Training logs the mean loss every max(1, epochs // 10) epochs.
 """
 
 from __future__ import annotations
@@ -22,17 +23,22 @@ from .nn import Adam, logcosh_loss
 log = logging.getLogger(__name__)
 
 
-def train_model(
-    model: Model,
+def _streams(seed: int) -> list[np.random.SeedSequence]:
+    """Streams 0-3 of `seed`, in the order the module docstring gives."""
+    return np.random.SeedSequence(seed).spawn(4)
+
+
+def train_from_pairs(
+    cfg: ModelConfig,
     pairs,
     epochs: int,
     batch_size: int,
-    rng_shuffle,
-    rng_dropout,
+    seed: int,
     lr: float = 1e-3,
-    log_every: int = 0,
-) -> list[float]:
-    """Run the update loop; returns the mean loss per epoch."""
+    loss_csv=None,
+) -> tuple[Model, list[float]]:
+    """Build a fresh model and train it, seeded from streams 0-2 of `seed`;
+    returns the model and the mean loss per epoch."""
     if not pairs:
         raise ValidationError("no training pairs")
     if epochs < 1 or batch_size < 1:
@@ -41,10 +47,14 @@ def train_model(
         )
     if not 0.0 < lr < float("inf"):  # false for NaN as well
         raise ValidationError(f"learning rate must be positive and finite, got {lr}")
-    dtype = model.cfg.dtype
-    inputs = np.stack([np.asarray(p.input, dtype=dtype) for p in pairs])[..., None]
-    targets = np.stack([np.asarray(p.target, dtype=dtype) for p in pairs])[..., None]
+    init_seq, shuffle_seq, dropout_seq, _ = _streams(seed)
+    model = build_model(cfg, seed=init_seq)
+    rng_shuffle = np.random.default_rng(shuffle_seq)
+    rng_dropout = np.random.default_rng(dropout_seq)
+    inputs = np.stack([np.asarray(p.input, dtype=cfg.dtype) for p in pairs])[..., None]
+    targets = np.stack([np.asarray(p.target, dtype=cfg.dtype) for p in pairs])[..., None]
     count = len(pairs)
+    log_every = max(1, epochs // 10)
     optimizer = Adam(lr=lr)
     params = model.parameters()
     epoch_losses: list[float] = []
@@ -63,33 +73,11 @@ def train_model(
             optimizer.step(params, model.gradients())
             total += loss * chosen.size
         epoch_losses.append(total / count)
-        if log_every and epoch % log_every == 0:
+        if epoch % log_every == 0:
             log.info("epoch %d/%d loss %.6f", epoch, epochs, epoch_losses[-1])
-    return epoch_losses
-
-
-def train_from_pairs(
-    cfg: ModelConfig,
-    pairs,
-    epochs: int,
-    batch_size: int,
-    seed: int,
-    lr: float = 1e-3,
-    loss_csv=None,
-    log_every: int = 0,
-) -> tuple[Model, list[float]]:
-    """Build a fresh model and train it, seeded from streams 0-2 of `seed`."""
-    init_seq, shuffle_seq, dropout_seq = np.random.SeedSequence(seed).spawn(4)[:3]
-    model = build_model(cfg, rng=np.random.default_rng(init_seq))
-    losses = train_model(
-        model, pairs, epochs, batch_size,
-        rng_shuffle=np.random.default_rng(shuffle_seq),
-        rng_dropout=np.random.default_rng(dropout_seq),
-        lr=lr, log_every=log_every,
-    )
     if loss_csv is not None:
-        write_loss_csv(loss_csv, losses)
-    return model, losses
+        write_loss_csv(loss_csv, epoch_losses)
+    return model, epoch_losses
 
 
 def crop_pairs(samples, seed: int, per_box: int, crop_size: int) -> list[TrainingPair]:
@@ -99,9 +87,8 @@ def crop_pairs(samples, seed: int, per_box: int, crop_size: int) -> list[Trainin
     registered = [s for s in samples if s.optical is not None]
     if not registered:
         raise ValidationError("unregistered data cannot train (no optical images)")
-    crop_seq = np.random.SeedSequence(seed).spawn(4)[3]
     pairs = []
-    for sample, child in zip(registered, crop_seq.spawn(len(registered))):
+    for sample, child in zip(registered, _streams(seed)[3].spawn(len(registered))):
         rng = np.random.default_rng(child)
         pairs.extend(random_crops(sample, per_box=per_box, rng=rng, crop_size=crop_size))
     if not pairs:

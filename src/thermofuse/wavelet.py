@@ -169,6 +169,8 @@ def read_coeff_plane(path) -> np.ndarray:
 def rescale_for_display(plane) -> np.ndarray:
     """Affine-map a coefficient plane onto 0..255 uint8 for visualization."""
     x = _check_plane(plane)
+    if x.size == 0:
+        raise ShapeError(f"empty plane {x.shape}")
     lo = float(x.min())
     hi = float(x.max())
     if hi <= lo:

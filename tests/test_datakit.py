@@ -16,7 +16,7 @@ from thermofuse.datakit import (
     write_annotations,
     write_pgm,
 )
-from thermofuse.fusion import RoiBox, build_training_target
+from thermofuse.fusion import CLASS_LABELS, RoiBox, build_training_target
 
 
 def test_pgm_round_trip(tmp_path):
@@ -181,7 +181,7 @@ def test_read_annotations_rejects_infinite_coordinate(tmp_path):
 
 
 def test_write_annotations_round_trip(tmp_path):
-    samples = synth_pairs(2, rng=np.random.default_rng(6))
+    samples = synth_pairs(2, 128, np.random.default_rng(6))
     samples.append(datakit.AnnotatedSample(samples[0].thermal, None, []))
     write_annotations(samples, tmp_path / "out")
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
@@ -242,7 +242,7 @@ def test_random_crops_unregistered_sample():
         np.zeros((40, 40), dtype=np.uint8), None, [RoiBox(0, 0, 5, 5)]
     )
     with pytest.raises(ValidationError, match="unregistered"):
-        random_crops(sample, rng=np.random.default_rng(0))
+        random_crops(sample, per_box=1, rng=np.random.default_rng(0))
 
 
 def test_random_crops_skips_oversized_box(caplog):
@@ -281,7 +281,7 @@ def test_synth_pairs_form_and_determinism():
         assert 1 <= len(sample.boxes) <= 3
         for box in sample.boxes:
             box.validate(128, 128)
-            assert box.label in datakit.CLASS_NAMES
+            assert box.label in CLASS_LABELS
             # annotated objects really differ between the two channels
             t_region = sample.thermal[box.rows, box.cols].astype(int)
             o_region = sample.optical[box.rows, box.cols].astype(int)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from thermofuse import ShapeError, ValidationError
-from thermofuse import fusion
+from thermofuse import fusion, rof, wavelet
 from thermofuse.fusion import RoiBox
 
 
@@ -196,6 +196,28 @@ def test_compute_mask_and_full_pipeline():
     fused = fusion.full_pipeline(thermal, model)
     assert fused.shape == (32, 32)
     assert fused.dtype == np.uint8
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+def test_empty_images_are_shape_errors(shape):
+    from thermofuse.model import ModelConfig, build_model
+
+    empty = np.zeros(shape, dtype=np.uint8)
+    model = build_model(ModelConfig(dwf=1, height=32, width=32), seed=2)
+    for run in (
+        fusion.as_gray8,
+        fusion.to_unit,
+        fusion.histogram_equalize,
+        lambda e: fusion.average_fuse(e, e),
+        lambda e: fusion.build_training_target(e, e, []),
+        lambda e: fusion.resize_bilinear(e.astype(np.float64), 4, 4),
+        lambda e: fusion.compute_mask(model, e),
+        lambda e: fusion.full_pipeline(e, model),
+        lambda e: rof.compute_rof(e, e),
+        lambda e: wavelet.rescale_for_display(e.astype(np.float64)),
+    ):
+        with pytest.raises(ShapeError):
+            run(empty)
 
 
 def _traced_peak(fn) -> int:

@@ -196,6 +196,26 @@ def test_gradient_check_each_layer(make):
         assert report.passed, str(report)
 
 
+def batch_norm_training_shapes():
+    """Criterion 3's five (n, h, w, c) shapes, then one value per channel."""
+    for trial in range(5):
+        shape_rng = np.random.default_rng(1000 + trial)
+        n = int(shape_rng.integers(1, 3))
+        h = 2 * int(shape_rng.integers(2, 5))
+        w = 2 * int(shape_rng.integers(2, 5))
+        yield n, h, w, int(shape_rng.integers(1, 4))
+    yield 1, 1, 1, 3
+
+
+@pytest.mark.parametrize("shape", list(batch_norm_training_shapes()))
+def test_gradient_check_batch_norm_training(shape):
+    # Training steps normalize with batch statistics, whose backward has
+    # terms the frozen-statistics check above never reaches.
+    x = np.random.default_rng(3).normal(size=shape)
+    report = gradient_check(BatchNormLayer(shape[3]), x, tolerance=1e-4, training=True)
+    assert report.passed, str(report)
+
+
 def test_dropout_backward_is_mask_product():
     # the training-mode Jacobian is diagonal: exactly the stored mask
     rng = np.random.default_rng(7)

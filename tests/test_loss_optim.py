@@ -6,6 +6,7 @@ import pytest
 
 from thermofuse import ShapeError, StateError
 from thermofuse.nn import Adam, NonFiniteGradientError, logcosh_loss
+from thermofuse.nn.optim import BETA1, BETA2, EPS
 from thermofuse.nn.gradcheck import gradient_check_fn
 
 
@@ -84,19 +85,20 @@ def test_adam_zero_gradient_is_identity():
 
 def test_adam_matches_reference_recurrence():
     # textbook form: m_t/(1-b1^t), v_t/(1-b2^t) with raw EMAs
+    assert (BETA1, BETA2, EPS) == (0.9, 0.999, 1e-8)  # Kingma & Ba's defaults
     rng = np.random.default_rng(44)
     p = rng.normal(size=(6,))
     ref = p.copy()
-    opt = Adam(lr=0.05, beta1=0.8, beta2=0.95, eps=1e-8)
+    opt = Adam(lr=0.05)
     m = np.zeros(6)
     v = np.zeros(6)
     for t in range(1, 30):
         g = rng.normal(size=(6,))
         opt.step({"w": p}, {"w": g.copy()})
-        m = 0.8 * m + 0.2 * g
-        v = 0.95 * v + 0.05 * g * g
-        mhat = m / (1.0 - 0.8**t)
-        vhat = v / (1.0 - 0.95**t)
+        m = 0.9 * m + 0.1 * g
+        v = 0.999 * v + 0.001 * g * g
+        mhat = m / (1.0 - 0.9**t)
+        vhat = v / (1.0 - 0.999**t)
         ref -= 0.05 * mhat / (np.sqrt(vhat) + 1e-8)
         assert np.allclose(p, ref, rtol=1e-12, atol=1e-12)
 
@@ -128,15 +130,15 @@ def reference_adam_step(opt, state, params, grads):
     """The out-of-place update Adam.step replaced, kept as the reference."""
     state["t"] += 1
     t = state["t"]
-    c1 = (1.0 - opt.beta1) / (1.0 - opt.beta1**t)
-    c2 = (1.0 - opt.beta2) / (1.0 - opt.beta2**t)
+    c1 = (1.0 - BETA1) / (1.0 - BETA1**t)
+    c2 = (1.0 - BETA2) / (1.0 - BETA2**t)
     for name, p in params.items():
         g = grads[name]
         m = state["m"].setdefault(name, np.zeros_like(p))
         v = state["v"].setdefault(name, np.zeros_like(p))
         m += c1 * (g - m)
         v += c2 * (g * g - v)
-        p -= opt.lr * m / (np.sqrt(v) + opt.eps)
+        p -= opt.lr * m / (np.sqrt(v) + EPS)
 
 
 def test_adam_in_place_matches_out_of_place_bitwise():

@@ -1,11 +1,13 @@
+import logging
+
 import numpy as np
 import pytest
 
 from thermofuse import ValidationError
 from thermofuse.datakit import AnnotatedSample, TrainingPair, random_crops, synth_pairs
 from thermofuse.fusion import RoiBox
-from thermofuse.model import ModelConfig, build_model, save_weights
-from thermofuse.training import crop_pairs, train_from_pairs, train_model, write_loss_csv
+from thermofuse.model import ModelConfig, save_weights
+from thermofuse.training import crop_pairs, train_from_pairs, write_loss_csv
 
 CFG = ModelConfig(dwf=1, height=32, width=32)
 
@@ -20,37 +22,41 @@ def toy_pairs(count=6, seed=0):
     return pairs
 
 
-def test_train_model_validation():
-    model = build_model(CFG, seed=0)
-    rng = np.random.default_rng(0)
+def test_train_from_pairs_validation():
     with pytest.raises(ValidationError):
-        train_model(model, [], 1, 2, rng, rng)
+        train_from_pairs(CFG, [], 1, 2, seed=0)
     pairs = toy_pairs(2)
     with pytest.raises(ValidationError):
-        train_model(model, pairs, 0, 2, rng, rng)
+        train_from_pairs(CFG, pairs, 0, 2, seed=0)
     with pytest.raises(ValidationError):
-        train_model(model, pairs, 1, 0, rng, rng)
+        train_from_pairs(CFG, pairs, 1, 0, seed=0)
     with pytest.raises(ValidationError):
-        train_model(model, pairs, 1, 2, rng, rng, lr=0.0)
+        train_from_pairs(CFG, pairs, 1, 2, seed=0, lr=0.0)
     for lr in (float("nan"), float("inf")):
         with pytest.raises(ValidationError, match="finite"):
-            train_model(model, pairs, 1, 2, rng, rng, lr=lr)
+            train_from_pairs(CFG, pairs, 1, 2, seed=0, lr=lr)
 
 
-def test_train_model_reduces_loss():
-    model = build_model(CFG, seed=1)
-    losses = train_model(
-        model,
-        toy_pairs(8),
-        epochs=12,
-        batch_size=4,
-        rng_shuffle=np.random.default_rng(1),
-        rng_dropout=np.random.default_rng(2),
-        lr=1e-2,
-    )
+def test_train_from_pairs_reduces_loss(caplog):
+    with caplog.at_level(logging.INFO, logger="thermofuse.training"):
+        _, losses = train_from_pairs(
+            CFG, toy_pairs(8), epochs=12, batch_size=4, seed=1, lr=1e-2
+        )
     assert len(losses) == 12
     assert all(np.isfinite(v) for v in losses)
     assert losses[-1] < losses[0] * 0.6
+    # Fewer than 20 epochs: every epoch is logged.
+    assert [r.getMessage() for r in caplog.records] == [
+        f"epoch {epoch}/12 loss {loss:.6f}" for epoch, loss in enumerate(losses, start=1)
+    ]
+
+
+def test_train_from_pairs_logs_every_tenth_of_the_run(caplog):
+    with caplog.at_level(logging.INFO, logger="thermofuse.training"):
+        _, losses = train_from_pairs(CFG, toy_pairs(1), epochs=21, batch_size=1, seed=2)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"epoch {epoch}/21 loss {losses[epoch - 1]:.6f}" for epoch in range(2, 22, 2)
+    ]
 
 
 def test_train_from_pairs_is_reproducible(tmp_path):
@@ -90,7 +96,7 @@ def test_write_loss_csv_formats_full_precision(tmp_path):
 
 
 def test_crop_pairs_draw_from_stream_three():
-    samples = synth_pairs(3, rng=np.random.default_rng(2))
+    samples = synth_pairs(3, 128, np.random.default_rng(2))
     samples.insert(1, AnnotatedSample(samples[0].thermal, None, samples[0].boxes))
     pairs = crop_pairs(samples, seed=9, per_box=2, crop_size=32)
     # Stream 3 of the seed, one child per registered sample in order.

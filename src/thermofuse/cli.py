@@ -151,11 +151,16 @@ def _train_settings(args) -> dict:
 
 
 def cmd_train(args) -> int:
+    from pathlib import Path
+
     from .datakit import read_annotations
     from .model import ModelConfig, save_weights
     from .training import crop_pairs, train_from_pairs
 
     settings = _train_settings(args)
+    for path in (args.out, settings["loss_csv"]):
+        if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            raise ValidationError(f"{path}: not a file in an existing directory")
     samples = read_annotations(args.annotations)
     pairs = crop_pairs(samples, settings["seed"], settings["per_box"], settings["crop_size"])
     extent = settings["crop_size"]

@@ -32,8 +32,6 @@ from .fusion import (
 
 log = logging.getLogger(__name__)
 
-CROP_SIZE = 128
-
 
 @dataclass
 class AnnotatedSample:
@@ -193,7 +191,7 @@ def random_crops(
     sample: AnnotatedSample,
     per_box: int,
     rng: np.random.Generator,
-    crop_size: int = CROP_SIZE,
+    crop_size: int,
 ) -> list[TrainingPair]:
     """Per box, sample `per_box` windows containing it and build pairs.
 
@@ -257,6 +255,8 @@ def synth_pairs(n: int, extent: int, rng: np.random.Generator) -> list[Annotated
     optical channel (30-110), so annotated regions genuinely differ between
     the two. Boxes are the exact object bounding rectangles.
     """
+    if n < 1:
+        raise ValidationError(f"sample count must be positive, got {n}")
     if extent < 128:
         raise ValidationError(f"synthetic extent must be at least 128, got {extent}")
     samples = []

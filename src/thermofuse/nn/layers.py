@@ -24,14 +24,15 @@ exactly half the input and the single leftover pad row/column goes at the
 bottom/right.
 
 All convolution arithmetic is one loop over the nine kernel taps; tap
-(i, j) of a padded input xp is the strided view xp[:, s*p + i, s*q + j].
-`correlate` sums tap(xp) @ w[i, j], `correlate_adjoint` is its adjoint in
-xp and `kernel_grad` its gradient in w. A convolution's forward, dX and dW
-are those three, and it caches its padded input. A transpose convolution
-is the adjoint of the stride-2 convolution, doubling both extents exactly,
-so it runs them the other way round: forward is the adjoint, dX is
-correlate over the bottom/right-padded dy, dW is the kernel gradient of
-(padded dy, x), and it caches x.
+(i, j) of the padded input xp is the strided view xp[:, s*p + i, s*q + j].
+Three kernels take and return unpadded arrays and pad inside:
+`correlate(x, w, s)` sums tap(xp) @ w[i, j], `correlate_adjoint(dy, w, s,
+x_shape)` is its adjoint in x and `kernel_grad(x, dy, s)` its gradient in
+w. A convolution's forward, dX and dW are those three. A transpose
+convolution is the adjoint of the stride-2 convolution, doubling both
+extents exactly, so it runs them the other way round: forward is the
+adjoint, dX is `correlate(dy, w, 2)` and dW is `kernel_grad(dy, x, 2)`.
+Both cache only their input.
 """
 
 from __future__ import annotations
@@ -74,18 +75,20 @@ def _check_batched(x, dtype) -> np.ndarray:
     return x
 
 
-def _same_pads(extent: int, stride: int) -> tuple[int, int]:
+def _same_pads(h: int, w: int, stride: int) -> tuple[int, int, int, int]:
+    """(top, bottom, left, right) SAME padding of an h x w input."""
     if stride == 1:
-        return 1, 1
-    if extent % 2:
-        raise ShapeError(f"stride-2 convolution needs even extents, got {extent}")
-    return 0, 1
+        return 1, 1, 1, 1
+    if h % 2 or w % 2:
+        raise ShapeError(f"stride-2 convolution needs even extents, got {h}x{w}")
+    return 0, 1, 0, 1
 
 
-def _pad(x: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.ndarray:
-    """`x` zero-padded in height and width (np.pad's result, without its
-    per-call overhead)."""
+def _pad(x: np.ndarray, stride: int) -> np.ndarray:
+    """`x` SAME-padded for `stride` (np.pad's result, without its per-call
+    overhead)."""
     n, h, w, c = x.shape
+    top, bottom, left, right = _same_pads(h, w, stride)
     xp = np.zeros((n, top + h + bottom, left + w + right, c), dtype=x.dtype)
     xp[:, top : top + h, left : left + w] = x
     return xp
@@ -101,15 +104,15 @@ def _taps(xp: np.ndarray, stride: int, out_h: int, out_w: int):
             ]
 
 
-def correlate(
-    xp: np.ndarray, w: np.ndarray, stride: int, out_h: int, out_w: int
-) -> np.ndarray:
-    """y = sum of tap(xp) @ w[i, j], one band of output rows at a time: a
-    band's taps are gathered into one GEMM operand of at most
+def correlate(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
+    """SAME-padded y = sum of tap(xp) @ w[i, j], one band of output rows at
+    a time: a band's taps are gathered into one GEMM operand of at most
     _BAND_ELEMENTS values, whatever the image size."""
-    n, c, f = xp.shape[0], xp.shape[3], w.shape[3]
+    n, h, wd, c = x.shape
+    xp = _pad(x, stride)
+    out_h, out_w, f = h // stride, wd // stride, w.shape[3]
     band = max(1, _BAND_ELEMENTS // (n * out_w * max(c, f)))
-    y = np.zeros((n, out_h, out_w, f), dtype=np.result_type(xp, w))
+    y = np.zeros((n, out_h, out_w, f), dtype=np.result_type(x, w))
     for r in range(0, out_h, band):
         y_band = y[:, r : r + band]
         for i, j, tap in _taps(xp[:, stride * r :], stride, y_band.shape[1], out_w):
@@ -118,37 +121,75 @@ def correlate(
 
 
 def correlate_adjoint(
-    dy: np.ndarray, w: np.ndarray, stride: int, padded_shape
+    dy: np.ndarray, w: np.ndarray, stride: int, x_shape
 ) -> np.ndarray:
-    """Adjoint of `correlate` in xp: tap(dxp) += dy @ w[i, j].T for every tap."""
-    dxp = np.zeros(padded_shape, dtype=np.result_type(dy, w))
-    n, out_h, out_w, f = dy.shape
+    """Adjoint of `correlate` in its (unpadded) input of shape `x_shape`:
+    tap(dxp) += dy @ w[i, j].T for every tap, then the padding cropped."""
+    n, h, wd, c = x_shape
+    pt, pb, pl, pr = _same_pads(h, wd, stride)
+    dxp = np.zeros((n, pt + h + pb, pl + wd + pr, c), dtype=np.result_type(dy, w))
+    out_h, out_w, f = dy.shape[1:]
     dy_flat = dy.reshape(n * out_h * out_w, f)
     for i, j, tap in _taps(dxp, stride, out_h, out_w):
         tap += (dy_flat @ w[i, j].T).reshape(tap.shape)
-    return dxp
+    return dxp[:, pt : pt + h, pl : pl + wd, :]
 
 
-def kernel_grad(xp: np.ndarray, dy: np.ndarray, stride: int) -> np.ndarray:
+def kernel_grad(x: np.ndarray, dy: np.ndarray, stride: int) -> np.ndarray:
     """Gradient of `correlate` in w: dw[i, j] = tap(xp).T @ dy, each
     product written straight into its slot."""
     n, out_h, out_w, f = dy.shape
-    c = xp.shape[3]
+    c = x.shape[3]
+    xp = _pad(x, stride)
     dy_flat = dy.reshape(n * out_h * out_w, f)
-    dw = np.empty((KERNEL, KERNEL, c, f), dtype=np.result_type(xp, dy))
+    dw = np.empty((KERNEL, KERNEL, c, f), dtype=np.result_type(x, dy))
     for i, j, tap in _taps(xp, stride, out_h, out_w):
         np.matmul(tap.reshape(n * out_h * out_w, c).T, dy_flat, out=dw[i, j])
     return dw
 
 
-def _check_dout(dout, shape, dtype) -> np.ndarray:
-    dy = np.asarray(dout, dtype=dtype)
-    if dy.shape != shape:
-        raise ShapeError(f"gradient shape {dy.shape} does not match output {shape}")
-    return dy
+class _Conv:
+    """What both convolutions share: kernel `w` and bias `b`, the
+    input-channel check, the cache (the input itself), the output-gradient
+    check, the bias and its gradient. A subclass supplies its output shape,
+    its unbiased forward and its (kernel, input) gradients from the kernels."""
+
+    def __init__(self, in_channels: int, filters: int, w_channels, rng):
+        self.in_channels = in_channels
+        self.filters = filters
+        shape = (KERNEL, KERNEL, *w_channels)
+        if rng is None:  # zeros, for weights that are about to be overwritten
+            w = np.zeros(shape)
+        else:  # Glorot uniform; fans are receptive field times channel counts
+            limit = np.sqrt(6.0 / (KERNEL * KERNEL * sum(w_channels)))
+            w = rng.uniform(-limit, limit, size=shape)
+        self.params = {"w": w, "b": np.zeros(filters, dtype=np.float64)}
+        self.grads: dict[str, np.ndarray] = {}
+        self._cache = None
+
+    def forward(self, x, training: bool = False, rng=None, grad: bool = True):
+        x = _check_batched(x, self.params["w"].dtype)
+        if x.shape[3] != self.in_channels:
+            raise ShapeError(
+                f"expected {self.in_channels} input channels, got {x.shape[3]}"
+            )
+        y = self._forward(x)
+        y += self.params["b"]
+        self._cache = x if grad else None
+        return y
+
+    def backward(self, dout):
+        x = self._cache
+        dy = np.asarray(dout, dtype=x.dtype)
+        shape = self._out_shape(x.shape)
+        if dy.shape != shape:
+            raise ShapeError(f"gradient shape {dy.shape} does not match output {shape}")
+        self.grads["w"], dx = self._grads(x, dy)
+        self.grads["b"] = dy.sum(axis=(0, 1, 2))
+        return dx
 
 
-class Conv2DLayer:
+class Conv2DLayer(_Conv):
     """3x3 convolution, SAME padding, stride 1 or 2.
 
     Weights are shaped (3, 3, in_channels, filters), bias (filters,).
@@ -157,43 +198,22 @@ class Conv2DLayer:
     def __init__(self, in_channels: int, filters: int, stride: int = 1, rng=None):
         if stride not in (1, 2):
             raise ShapeError(f"stride must be 1 or 2, got {stride}")
-        self.in_channels = in_channels
-        self.filters = filters
         self.stride = stride
-        w = _glorot_uniform((KERNEL, KERNEL, in_channels, filters), rng)
-        self.params = {"w": w, "b": np.zeros(filters, dtype=np.float64)}
-        self.grads: dict[str, np.ndarray] = {}
-        self._cache = None
+        super().__init__(in_channels, filters, (in_channels, filters), rng)
 
-    def forward(self, x, training: bool = False, rng=None, grad: bool = True):
-        x = _check_batched(x, self.params["w"].dtype)
-        n, h, w, c = x.shape
-        if c != self.in_channels:
-            raise ShapeError(
-                f"expected {self.in_channels} input channels, got {c}"
-            )
-        s = self.stride
-        pt, pb = _same_pads(h, s)
-        pl, pr = _same_pads(w, s)
-        xp = _pad(x, pt, pb, pl, pr)
-        y = correlate(xp, self.params["w"], s, h // s, w // s)
-        y += self.params["b"]
-        self._cache = (xp, (pt, pl), (h, w)) if grad else None
-        return y
+    def _out_shape(self, x_shape):
+        n, h, w, _ = x_shape
+        return n, h // self.stride, w // self.stride, self.filters
 
-    def backward(self, dout):
-        xp, (pt, pl), (h, w) = self._cache
-        s = self.stride
-        dy = _check_dout(
-            dout, (xp.shape[0], h // s, w // s, self.filters), xp.dtype
-        )
-        self.grads["w"] = kernel_grad(xp, dy, s)
-        self.grads["b"] = dy.sum(axis=(0, 1, 2))
-        dxp = correlate_adjoint(dy, self.params["w"], s, xp.shape)
-        return dxp[:, pt : pt + h, pl : pl + w, :]
+    def _forward(self, x):
+        return correlate(x, self.params["w"], self.stride)
+
+    def _grads(self, x, dy):
+        w, s = self.params["w"], self.stride
+        return kernel_grad(x, dy, s), correlate_adjoint(dy, w, s, x.shape)
 
 
-class Conv2DTransposeLayer:
+class Conv2DTransposeLayer(_Conv):
     """3x3 transpose convolution, stride 2: (h, w, in) -> (2h, 2w, filters).
 
     Weights are shaped (3, 3, filters, in_channels), the adjoint layout of
@@ -201,35 +221,17 @@ class Conv2DTransposeLayer:
     """
 
     def __init__(self, in_channels: int, filters: int, rng=None):
-        self.in_channels = in_channels
-        self.filters = filters
-        w = _glorot_uniform((KERNEL, KERNEL, filters, in_channels), rng)
-        self.params = {"w": w, "b": np.zeros(filters, dtype=np.float64)}
-        self.grads: dict[str, np.ndarray] = {}
-        self._cache = None
+        super().__init__(in_channels, filters, (filters, in_channels), rng)
 
-    def forward(self, x, training: bool = False, rng=None, grad: bool = True):
-        x = _check_batched(x, self.params["w"].dtype)
-        n, h, w, c = x.shape
-        if c != self.in_channels:
-            raise ShapeError(
-                f"expected {self.in_channels} input channels, got {c}"
-            )
-        yp = correlate_adjoint(
-            x, self.params["w"], 2, (n, 2 * h + 1, 2 * w + 1, self.filters)
-        )
-        y = yp[:, : 2 * h, : 2 * w, :] + self.params["b"]
-        self._cache = x if grad else None
-        return y
+    def _out_shape(self, x_shape):
+        n, h, w, _ = x_shape
+        return n, 2 * h, 2 * w, self.filters
 
-    def backward(self, dout):
-        x = self._cache
-        n, h, w, _ = x.shape
-        dy = _check_dout(dout, (n, 2 * h, 2 * w, self.filters), x.dtype)
-        dyp = _pad(dy, 0, 1, 0, 1)
-        self.grads["w"] = kernel_grad(dyp, x, 2)
-        self.grads["b"] = dy.sum(axis=(0, 1, 2))
-        return correlate(dyp, self.params["w"], 2, h, w)
+    def _forward(self, x):
+        return correlate_adjoint(x, self.params["w"], 2, self._out_shape(x.shape))
+
+    def _grads(self, x, dy):
+        return kernel_grad(dy, x, 2), correlate(dy, self.params["w"], 2)
 
 
 class BatchNormLayer:
@@ -370,13 +372,3 @@ class DropoutLayer:
         if self._mask is None:
             return dout
         return dout * self._mask
-
-
-def _glorot_uniform(shape, rng) -> np.ndarray:
-    """Glorot-uniform (3, 3, a, b) kernel; zeros without an rng, for
-    weights that are about to be overwritten."""
-    if rng is None:
-        return np.zeros(shape)
-    # Fans follow the kernel layout: receptive field times channel counts.
-    limit = np.sqrt(6.0 / (KERNEL * KERNEL * (shape[2] + shape[3])))
-    return rng.uniform(-limit, limit, size=shape)

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -340,6 +341,35 @@ def test_synth_rejects_negative_seed(tmp_path, capsys):
     rc = main(["synth", "--count", "1", "--seed", "-1", "--out", str(out)])
     assert_error_two(rc, capsys, "seed must be non-negative, got -1")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["-2", "0"])
+def test_synth_rejects_non_positive_count(tmp_path, capsys, count):
+    out = tmp_path / "data"
+    rc = main(["synth", "--count", count, "--seed", "1", "--out", str(out)])
+    assert_error_two(rc, capsys, f"sample count must be positive, got {count}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag,bad",
+    [("--out", "missing/w.tofw"), ("--out", "."), ("--loss-csv", "missing/l.csv")],
+)
+def test_train_checks_output_paths_before_training(tmp_path, capsys, caplog, flag, bad):
+    # A bad output path must fail before the first epoch, not at the save
+    # after the last one.
+    annotations = synth_one(tmp_path)
+    outputs = {"--out": tmp_path / "w.tofw", "--loss-csv": tmp_path / "l.csv"}
+    outputs[flag] = tmp_path / bad
+    argv = ["train", str(annotations), "--seed", "1", "--epochs", "1", "--dwf", "1",
+            "--crop-size", "32", "--per-box", "1"]
+    for name, path in outputs.items():
+        argv += [name, str(path)]
+    caplog.set_level(logging.INFO)
+    message = f"{outputs[flag]}: not a file in an existing directory"
+    assert_error_two(main(argv), capsys, message)
+    assert not any("epoch" in record.getMessage() for record in caplog.records)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
 
 SETTING_TEXT = {int: "3", float: "0.5", str: "run.csv"}

@@ -242,7 +242,7 @@ def test_random_crops_unregistered_sample():
         np.zeros((40, 40), dtype=np.uint8), None, [RoiBox(0, 0, 5, 5)]
     )
     with pytest.raises(ValidationError, match="unregistered"):
-        random_crops(sample, per_box=1, rng=np.random.default_rng(0))
+        random_crops(sample, per_box=1, rng=np.random.default_rng(0), crop_size=32)
 
 
 def test_random_crops_skips_oversized_box(caplog):

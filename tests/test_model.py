@@ -229,7 +229,7 @@ def test_parameters_and_gradients_align():
     model.backward(np.ones_like(y))
     params = model.parameters()
     grads = model.gradients()
-    assert set(grads) == set(params)
+    assert list(grads) == list(params)
     for name, g in grads.items():
         assert g.shape == params[name].shape, name
     # conv weights, biases, batchnorm scale/shift all present

@@ -150,17 +150,24 @@ def _train_settings(args) -> dict:
     return settings
 
 
-def cmd_train(args) -> int:
+def _check_output_file(path) -> None:
+    """Refuse an output path that is a directory or sits in a missing one,
+    before any costly work is done for it."""
     from pathlib import Path
 
+    if Path(path).is_dir() or not Path(path).parent.is_dir():
+        raise ValidationError(f"{path}: not a file in an existing directory")
+
+
+def cmd_train(args) -> int:
     from .datakit import read_annotations
     from .model import ModelConfig, save_weights
     from .training import crop_pairs, train_from_pairs
 
     settings = _train_settings(args)
     for path in (args.out, settings["loss_csv"]):
-        if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
-            raise ValidationError(f"{path}: not a file in an existing directory")
+        if path is not None:
+            _check_output_file(path)
     samples = read_annotations(args.annotations)
     pairs = crop_pairs(samples, settings["seed"], settings["per_box"], settings["crop_size"])
     extent = settings["crop_size"]
@@ -184,6 +191,7 @@ def cmd_infer(args) -> int:
     from .fusion import compute_mask, to_uint8
     from .model import load_weights
 
+    _check_output_file(args.out)
     image = read_pgm(args.image)
     height, width = image.shape
     if height % 32 == 0 and width % 32 == 0:

@@ -22,8 +22,10 @@ byte-identical.
 
 from __future__ import annotations
 
+import io
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,9 +129,15 @@ class Block:
             self.layers.append(DropoutLayer())
 
     def forward(self, x, training: bool = False, rng=None, grad: bool = True):
-        for layer in self.layers:
-            x = layer.forward(x, training=training, rng=rng, grad=grad)
-        return x
+        """Run the layers in order. Without gradients nothing else holds the
+        convolution's fresh output, so the layers after it overwrite that
+        array instead of allocating their own; `x` itself is never written."""
+        y = self.conv.forward(x, training=training, rng=rng, grad=grad)
+        for layer in self.layers[1:]:
+            y = layer.forward(
+                y, training=training, rng=rng, grad=grad, in_place=not grad
+            )
+        return y
 
     def backward(self, dout):
         for layer in reversed(self.layers):
@@ -168,8 +176,10 @@ class Model:
 
     `forward(..., grad=False)` is the gradient-free pass for inference: it
     returns the same output bit for bit and fills `last_audit`, but no
-    layer keeps a backward cache, each node's output is dropped as soon as
-    its last consumer has run, and the cache of any earlier pass is
+    layer keeps a backward cache, each block's later layers overwrite its
+    convolution's output instead of allocating (the input is never
+    written), each node's output is dropped as soon as its last consumer
+    has run, and the cache of any earlier pass is
     cleared, so `activation` and `backward` raise StateError until the
     next `grad=True` forward. `grad` is independent of `training`.
 
@@ -549,21 +559,18 @@ def save_weights(model: Model, path) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def read_weights_file(path) -> dict[str, np.ndarray]:
-    """Parse a weights file into name -> float32 array, order preserved.
+def _walk_weights(fh) -> dict[str, tuple[tuple[int, ...], int]]:
+    """Walk the headers of an open weights file: name -> (extents, offset of
+    the float32 payload), in file order. Each payload is seeked past, not
+    read; every malformed header, a payload that runs past the end of the
+    file and bytes after the last tensor raise FormatError."""
+    size = fh.seek(0, io.SEEK_END)
+    fh.seek(0)
 
-    The arrays are read-only views of the file's bytes, not copies.
-    """
-    with open(path, "rb") as fh:
-        data = memoryview(fh.read())
-    pos = 0
-
-    def take(count: int) -> memoryview:
-        nonlocal pos
-        if pos + count > len(data):
+    def take(count: int) -> bytes:
+        chunk = fh.read(count)
+        if len(chunk) != count:
             raise FormatError("truncated weights file")
-        chunk = data[pos : pos + count]
-        pos += count
         return chunk
 
     if take(4) != WEIGHTS_MAGIC:
@@ -571,23 +578,42 @@ def read_weights_file(path) -> dict[str, np.ndarray]:
     version, count = struct.unpack("<II", take(8))
     if version != WEIGHTS_VERSION:
         raise FormatError(f"unsupported weights version {version}")
-    tensors: dict[str, np.ndarray] = {}
+    index: dict[str, tuple[tuple[int, ...], int]] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
         try:
-            name = str(take(name_len), "utf-8")
+            name = take(name_len).decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError("tensor name is not valid UTF-8") from None
-        if name in tensors:
+        if name in index:
             raise FormatError(f"duplicate tensor name {name!r}")
         (rank,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
+        offset = fh.tell()
         # Python ints: the product of eight u32 extents overflows int64.
-        values = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4")
-        tensors[name] = values.reshape(shape)
-    if pos != len(data):
+        end = offset + 4 * math.prod(shape)
+        if end > size:
+            raise FormatError("truncated weights file")
+        fh.seek(end)
+        index[name] = (shape, offset)
+    if fh.tell() != size:
         raise FormatError("trailing bytes after last tensor")
-    return tensors
+    return index
+
+
+def read_weights_file(path) -> dict[str, np.ndarray]:
+    """Parse a weights file into name -> float32 array, order preserved.
+
+    The arrays are read-only views of the file's bytes, not copies.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return {
+        name: np.frombuffer(
+            data, dtype="<f4", count=math.prod(shape), offset=offset
+        ).reshape(shape)
+        for name, (shape, offset) in _walk_weights(io.BytesIO(data)).items()
+    }
 
 
 def load_weights(path, extents: tuple[int, int] | None = None) -> Model:
@@ -598,34 +624,47 @@ def load_weights(path, extents: tuple[int, int] | None = None) -> Model:
     default to 128x128. No initial weights are drawn: the graph starts at
     zero and every array is then overwritten from the file. The model is
     float32, the file's own precision.
+
+    The file is streamed, never held whole: its headers are walked and
+    checked against the graph's tensor set and extents first, and only then
+    is each payload read straight into the model's own array. So a
+    malformed file raises FormatError before any model array is written,
+    and the load needs little memory beyond the model itself.
     """
-    tensors = read_weights_file(path)
-    first = tensors.get("inp/conv/w")
-    if first is None or first.ndim != 4:
-        raise FormatError("weights file lacks the input-stage convolution")
-    height, width = extents if extents is not None else (128, 128)
-    try:
-        cfg = ModelConfig(dwf=int(first.shape[3]), height=height, width=width)
-    except ShapeError as exc:
-        raise FormatError(f"weights file implies an invalid model: {exc}") from exc
-    model = _assemble(cfg, None)
-    expected = dict(model.state_items())
-    missing = sorted(set(expected) - set(tensors))
-    surplus = sorted(set(tensors) - set(expected))
-    if missing or surplus:
-        detail = []
-        if missing:
-            detail.append(f"missing {missing[0]!r} and {len(missing) - 1} more")
-        if surplus:
-            detail.append(f"unexpected {surplus[0]!r} and {len(surplus) - 1} more")
-        raise FormatError("weights do not match the architecture: " + "; ".join(detail))
-    # In-place assignment copies each float32 view once, into the model's
-    # own arrays (casting it when the model is float64).
-    for name, arr in tensors.items():
-        target = expected[name]
-        if arr.shape != target.shape:
+    with open(path, "rb") as fh:
+        index = _walk_weights(fh)
+        first, _ = index.get("inp/conv/w", ((), 0))
+        if len(first) != 4:
+            raise FormatError("weights file lacks the input-stage convolution")
+        height, width = extents if extents is not None else (128, 128)
+        try:
+            cfg = ModelConfig(dwf=int(first[3]), height=height, width=width)
+        except ShapeError as exc:
+            raise FormatError(f"weights file implies an invalid model: {exc}") from exc
+        model = _assemble(cfg, None)
+        expected = dict(model.state_items())
+        missing = sorted(set(expected) - set(index))
+        surplus = sorted(set(index) - set(expected))
+        if missing or surplus:
+            detail = []
+            if missing:
+                detail.append(f"missing {missing[0]!r} and {len(missing) - 1} more")
+            if surplus:
+                detail.append(f"unexpected {surplus[0]!r} and {len(surplus) - 1} more")
             raise FormatError(
-                f"tensor {name!r} has extents {arr.shape}, expected {target.shape}"
+                "weights do not match the architecture: " + "; ".join(detail)
             )
-        target[...] = arr
+        for name, (shape, _) in index.items():
+            if shape != expected[name].shape:
+                raise FormatError(
+                    f"tensor {name!r} has extents {shape}, "
+                    f"expected {expected[name].shape}"
+                )
+        for name, (_, offset) in index.items():
+            target = expected[name]
+            fh.seek(offset)
+            if fh.readinto(memoryview(target).cast("B")) != target.nbytes:
+                raise FormatError("truncated weights file")
+            if sys.byteorder == "big":  # the file is little-endian
+                target.byteswap(inplace=True)
     return model

@@ -16,7 +16,21 @@ after that forward. With `grad=False` it runs the same arithmetic,
 returns a bit-identical result, keeps nothing and drops what an earlier
 forward kept; call `backward` only after a `grad=True` forward. `grad` is
 independent of `training`: an inference-mode forward can still be
-differentiated.
+differentiated. With `grad=False` the layers after a convolution can
+also write their result into `x` itself (through numpy's `out=`) instead
+of a new array; `in_place=True` asks for that. Only a caller that owns
+`x` and keeps nothing else of it may ask: `model.Block` does, for the
+fresh output of its own convolution. A layer called on its own never
+writes its input.
+
+The activations are branch-free: ReLU is `np.maximum(x, 0.0)` and leaky
+ReLU `np.maximum(x, LEAKY_ALPHA * x)`; their backward passes multiply by
+the cached `x >= 0` mask (ReLU) or by the mask raised to at least
+LEAKY_ALPHA. Leaky ReLU gives the bits of the `np.where` form it replaces.
+ReLU differs in three corners: a NaN input comes out as NaN, not 0.0, so
+it reaches the non-finite checks downstream; a -0.0 input may come out as
++0.0 (a convolution never outputs -0.0); and its backward leaves a masked
+gradient as a zero of the gradient's sign, or as NaN if it is not finite.
 
 Convolutions use SAME zero padding. With stride 1 that pads one pixel on
 every side; with stride 2 (even input extents required) the output is
@@ -56,11 +70,13 @@ def _floating(x) -> np.ndarray:
     return x if np.issubdtype(x.dtype, np.floating) else x.astype(np.float64)
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     """1 / (1 + exp(-x)), computed without overflow for large |x|, in the
-    dtype of a floating `x` (float64 otherwise)."""
+    dtype of a floating `x` (float64 otherwise), into `out` if given (which
+    may be `x` itself)."""
     x = _floating(x)
-    out = np.empty_like(x)
+    if out is None:
+        out = np.empty_like(x)
     pos = x >= 0.0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
@@ -256,7 +272,10 @@ class BatchNormLayer:
         self.grads: dict[str, np.ndarray] = {}
         self._cache = None
 
-    def forward(self, x, training: bool = False, rng=None, grad: bool = True):
+    def forward(
+        self, x, training: bool = False, rng=None, grad: bool = True,
+        in_place: bool = False,
+    ):
         x = _check_batched(x, self.params["gamma"].dtype)
         if x.shape[-1] != self.channels:
             raise ShapeError(f"expected {self.channels} channels, got {x.shape[-1]}")
@@ -271,19 +290,27 @@ class BatchNormLayer:
             training = x[..., 0].size > 1
         if training:
             mean = x.mean(axis=(0, 1, 2))
-            centered = x - mean
-            # np.var's own arithmetic, with the centred batch kept for xhat.
-            var = (centered * centered).mean(axis=(0, 1, 2))
+        else:
+            mean = self.buffers["moving_mean"]
+        y = np.subtract(x, mean, out=x if in_place else None)
+        if training:
+            # np.var's own arithmetic, on the centred batch.
+            var = (y * y).mean(axis=(0, 1, 2))
             m = BN_MOMENTUM
             self.buffers["moving_mean"] = m * self.buffers["moving_mean"] + (1 - m) * mean
             self.buffers["moving_var"] = m * self.buffers["moving_var"] + (1 - m) * var
         else:
-            centered = x - self.buffers["moving_mean"]
             var = self.buffers["moving_var"]
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = centered * inv_std
-        self._cache = (xhat, inv_std, training) if grad else None
-        return self.params["gamma"] * xhat + self.params["beta"]
+        y *= inv_std  # now xhat
+        if grad:
+            self._cache = (y, inv_std, training)
+            y = self.params["gamma"] * y
+        else:
+            self._cache = None
+            y *= self.params["gamma"]
+        y += self.params["beta"]
+        return y
 
     def backward(self, dout):
         xhat, inv_std, training = self._cache
@@ -305,14 +332,16 @@ class ReLULayer:
         self.grads: dict[str, np.ndarray] = {}
         self._mask = None
 
-    def forward(self, x, training: bool = False, rng=None, grad: bool = True):
+    def forward(
+        self, x, training: bool = False, rng=None, grad: bool = True,
+        in_place: bool = False,
+    ):
         x = _floating(x)
-        mask = x >= 0.0
-        self._mask = mask if grad else None
-        return np.where(mask, x, 0.0)
+        self._mask = x >= 0.0 if grad else None
+        return np.maximum(x, 0.0, out=x if in_place else None)
 
     def backward(self, dout):
-        return np.where(self._mask, dout, 0.0)
+        return _floating(dout) * self._mask
 
 
 class LeakyReLULayer:
@@ -321,14 +350,17 @@ class LeakyReLULayer:
         self.grads: dict[str, np.ndarray] = {}
         self._mask = None
 
-    def forward(self, x, training: bool = False, rng=None, grad: bool = True):
+    def forward(
+        self, x, training: bool = False, rng=None, grad: bool = True,
+        in_place: bool = False,
+    ):
         x = _floating(x)
-        mask = x >= 0.0
-        self._mask = mask if grad else None
-        return np.where(mask, x, LEAKY_ALPHA * x)
+        self._mask = x >= 0.0 if grad else None
+        return np.maximum(x, LEAKY_ALPHA * x, out=x if in_place else None)
 
     def backward(self, dout):
-        return np.where(self._mask, dout, LEAKY_ALPHA * dout)
+        dout = _floating(dout)
+        return dout * np.maximum(self._mask, dout.dtype.type(LEAKY_ALPHA))
 
 
 class SigmoidLayer:
@@ -337,8 +369,12 @@ class SigmoidLayer:
         self.grads: dict[str, np.ndarray] = {}
         self._out = None
 
-    def forward(self, x, training: bool = False, rng=None, grad: bool = True):
-        out = sigmoid(x)
+    def forward(
+        self, x, training: bool = False, rng=None, grad: bool = True,
+        in_place: bool = False,
+    ):
+        x = _floating(x)
+        out = sigmoid(x, out=x if in_place else None)
         self._out = out if grad else None
         return out
 
@@ -355,7 +391,10 @@ class DropoutLayer:
         self.grads: dict[str, np.ndarray] = {}
         self._mask = None
 
-    def forward(self, x, training: bool = False, rng=None, grad: bool = True):
+    def forward(
+        self, x, training: bool = False, rng=None, grad: bool = True,
+        in_place: bool = False,
+    ):
         x = _floating(x)
         if not training:
             self._mask = None
@@ -366,7 +405,7 @@ class DropoutLayer:
         mask = (rng.random(x.shape) >= DROPOUT_RATE).astype(x.dtype)
         mask /= 1.0 - DROPOUT_RATE
         self._mask = mask if grad else None
-        return x * mask
+        return np.multiply(x, mask, out=x if in_place else None)
 
     def backward(self, dout):
         if self._mask is None:

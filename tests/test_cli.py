@@ -372,6 +372,23 @@ def test_train_checks_output_paths_before_training(tmp_path, capsys, caplog, fla
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
 
+@pytest.mark.parametrize("bad", ["missing/m.pgm", "."])
+def test_infer_checks_output_path_before_loading(tmp_path, capsys, monkeypatch, bad):
+    # A bad --out must fail before the weights load and the forward pass.
+    import thermofuse.model
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("load_weights ran for an unwritable --out")
+
+    monkeypatch.setattr(thermofuse.model, "load_weights", no_load)
+    thermal = tmp_path / "t.pgm"
+    write_pgm(np.full((32, 32), 90, dtype=np.uint8), thermal)
+    out = tmp_path / bad
+    rc = main(["infer", str(tmp_path / "w.tofw"), str(thermal), "--out", str(out)])
+    assert_error_two(rc, capsys, f"{out}: not a file in an existing directory")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.pgm"]
+
+
 SETTING_TEXT = {int: "3", float: "0.5", str: "run.csv"}
 
 

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from thermofuse import ShapeError, StateError
 from thermofuse.nn import (
@@ -15,7 +17,7 @@ from thermofuse.nn import (
     gradient_check,
     sigmoid,
 )
-from thermofuse.nn.layers import correlate, correlate_adjoint, kernel_grad
+from thermofuse.nn.layers import LEAKY_ALPHA, correlate, correlate_adjoint, kernel_grad
 
 
 def test_activation_functions():
@@ -28,6 +30,80 @@ def test_activation_functions():
     with np.errstate(over="raise"):
         big = sigmoid(np.array([-800.0, 800.0]))
     assert big[0] == 0.0 and big[1] == 1.0
+
+
+SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]
+BITS = {np.float32: np.uint32, np.float64: np.uint64}
+
+
+def special_arrays(dtype, specials=SPECIALS):
+    """1-D `dtype` arrays of finite values of that width mixed with
+    `specials`; up to 80 values, so numpy's vector loops and their scalar
+    tails both run."""
+    width = np.finfo(dtype).bits
+    finite = st.floats(allow_nan=False, allow_infinity=False, width=width)
+    element = st.one_of(finite, st.sampled_from(specials))
+    return st.lists(element, min_size=1, max_size=80).map(
+        lambda values: np.array(values, dtype=dtype)
+    )
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(
+        a.view(BITS[a.dtype.type]), b.view(BITS[b.dtype.type])
+    )
+
+
+def forward_both_ways(layer, x):
+    """The layer's output on its own and written into a copy of `x`, which
+    must agree bit for bit; `x` itself stays untouched."""
+    before = x.copy()
+    got = layer.forward(x, grad=False)
+    inside = x.copy()
+    assert layer.forward(inside, grad=False, in_place=True) is inside
+    assert same_bits(inside, got)
+    assert same_bits(x, before)
+    return got
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@given(data=st.data())
+def test_leaky_relu_matches_where_formulas_bitwise(dtype, data):
+    x = data.draw(special_arrays(dtype))
+    dout = data.draw(special_arrays(dtype), label="dout")
+    dout = np.resize(dout, x.shape)
+    layer = LeakyReLULayer()
+    want = np.where(x >= 0.0, x, LEAKY_ALPHA * x)
+    assert same_bits(forward_both_ways(layer, x), want)
+    layer.forward(x)
+    want_dx = np.where(x >= 0.0, dout, LEAKY_ALPHA * dout)
+    assert same_bits(layer.backward(dout), want_dx)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@given(data=st.data())
+def test_relu_matches_where_formulas(dtype, data):
+    x = data.draw(special_arrays(dtype))
+    layer = ReLULayer()
+    got = forward_both_ways(layer, x)
+    want = np.where(x >= 0.0, x, 0.0)
+    nan = np.isnan(x)
+    # A NaN propagates (the where formula made it 0.0); every other value
+    # keeps its bits, except that a -0.0 input may come out as +0.0.
+    assert np.isnan(got[nan]).all()
+    assert np.array_equal(got[~nan], want[~nan])
+    exact = ~nan & ~((x == 0.0) & np.signbit(x))
+    assert same_bits(got[exact], want[exact])
+    # Backward on a finite gradient is the where formula's value; only the
+    # sign of a masked zero may differ.
+    finite = data.draw(special_arrays(dtype, [0.0, -0.0]), label="dout")
+    dout = np.resize(finite, x.shape)
+    layer.forward(x)
+    dx = layer.backward(dout)
+    mask = x >= 0.0
+    assert dx.dtype == x.dtype
+    assert np.array_equal(dx, np.where(mask, dout, 0.0))
+    assert same_bits(dx[mask], dout[mask])
 
 
 def conv_reference(x, w, b, stride):
@@ -161,6 +237,39 @@ def test_batchnorm_one_value_per_channel_uses_moving_stats():
     assert np.array_equal(layer.backward(dy), want_dx)
     assert np.array_equal(layer.buffers["moving_mean"], [1.0, -1.0])
     assert np.array_equal(layer.buffers["moving_var"], [4.0, 0.25])
+
+
+def _moved_batchnorm():
+    layer = BatchNormLayer(3)
+    layer.buffers["moving_mean"][:] = [0.5, -1.0, 2.0]
+    layer.buffers["moving_var"][:] = [0.25, 4.0, 1.5]
+    layer.params["gamma"][:] = [1.5, -0.5, 2.0]
+    layer.params["beta"][:] = [0.1, 0.0, -0.3]
+    return layer
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Conv2DLayer(3, 3, stride=1, rng=np.random.default_rng(1)),
+        lambda: Conv2DLayer(3, 3, stride=2, rng=np.random.default_rng(1)),
+        lambda: Conv2DTransposeLayer(3, 3, rng=np.random.default_rng(1)),
+        _moved_batchnorm,
+        ReLULayer,
+        LeakyReLULayer,
+        SigmoidLayer,
+        DropoutLayer,
+    ],
+)
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("grad", [False, True])
+def test_layer_forward_leaves_its_input_unchanged(make, training, grad):
+    # float64 reaches every layer uncopied, so a write would land in x.
+    x = np.random.default_rng(2).normal(size=(2, 4, 6, 3))
+    before = x.copy()
+    y = make().forward(x, training=training, rng=np.random.default_rng(3), grad=grad)
+    assert np.array_equal(x, before)
+    assert not np.shares_memory(x, y) or y is x  # dropout in inference is x
 
 
 def test_dropout_scaling_and_determinism():

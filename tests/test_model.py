@@ -1,4 +1,6 @@
+import functools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thermofuse import FormatError, ShapeError, StateError
+from thermofuse import model as model_module
 from thermofuse.model import (
     Block,
     ModelConfig,
@@ -416,6 +419,50 @@ def test_no_grad_forward_leaves_later_gradients_unchanged():
         assert np.array_equal(got[name], want[name]), name
 
 
+@pytest.mark.parametrize("kind", ["same", "half", "double", "ll", "final"])
+@pytest.mark.parametrize("training", [False, True])
+def test_no_grad_block_leaves_its_input_unchanged(kind, training):
+    # Without gradients the block's later layers overwrite the conv's output;
+    # they must not reach the block's input, nor change the result.
+    block = Block("b", kind, 3, 5, np.random.default_rng(0))
+    block.bn.buffers["moving_var"][:] = 2.0
+    x = np.random.default_rng(1).normal(size=(2, 8, 8, 3))
+    before = x.copy()
+    want = block.forward(x, training, np.random.default_rng(2))
+    got = block.forward(x, training, np.random.default_rng(2), grad=False)
+    assert np.array_equal(x, before)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("training", [False, True])
+def test_no_grad_model_forward_leaves_its_input_unchanged(training):
+    model = small_model()
+    # float32 and rank 4: the model's own dtype and layout, so the graph
+    # reads this very array, not a copy.
+    x = np.random.default_rng(13).uniform(size=(2, 32, 32, 1)).astype(np.float32)
+    over = {"hl1": np.full((16, 16, 1), 0.25, dtype=np.float32)}
+    before = x.copy()
+    model.forward(x, training, np.random.default_rng(4), overrides=over, grad=False)
+    assert np.array_equal(x, before)
+    assert np.array_equal(over["hl1"], np.full((16, 16, 1), 0.25))
+
+
+def test_no_grad_forward_peak_is_a_few_activations():
+    # Freed after their last use and overwritten in place, activations leave
+    # a traced peak of a few times the largest one at 256x256.
+    model = build_model(ModelConfig(dwf=1, height=256, width=256), seed=1)
+    x = np.random.default_rng(14).uniform(size=(256, 256))
+    model.forward(x)
+    largest = max(model.activation(node.name).nbytes for node in model.nodes)
+    tracemalloc.start()
+    try:
+        model.forward(x, grad=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * largest
+
+
 def test_backward_rank_follows_dout():
     model = small_model()
     x = np.random.default_rng(12).uniform(size=(32, 32))
@@ -561,19 +608,18 @@ def test_read_weights_file_duplicate_name(tmp_path):
         read_weights_file(path)
 
 
-def test_load_rejects_wrong_tensor_set(tmp_path):
+def test_load_rejects_wrong_tensor_set(tmp_path, monkeypatch):
+    # Each is a FormatError before any model array is written.
     model = small_model()
     entries = list(model.state_items())
 
     missing = tmp_path / "missing.tofw"
     missing.write_bytes(pack_weights(entries[:-1]))
-    with pytest.raises(FormatError):
-        load_weights(missing, extents=(32, 32))
+    assert load_or_format_error(missing, monkeypatch) is None
 
     surplus = tmp_path / "surplus.tofw"
     surplus.write_bytes(pack_weights(entries + [("zz/extra", np.zeros(1))]))
-    with pytest.raises(FormatError):
-        load_weights(surplus, extents=(32, 32))
+    assert load_or_format_error(surplus, monkeypatch) is None
 
     wrong = tmp_path / "wrong.tofw"
     reshaped = [
@@ -583,8 +629,13 @@ def test_load_rejects_wrong_tensor_set(tmp_path):
         (n, np.zeros((1, 1)) if n == "inp/conv/b" else t) for n, t in reshaped
     ]
     wrong.write_bytes(pack_weights(reshaped))
-    with pytest.raises(FormatError):
-        load_weights(wrong, extents=(32, 32))
+    assert load_or_format_error(wrong, monkeypatch) is None
+
+    # Same element count, so the file parses; only the last tensor is off.
+    name, last = entries[-1]
+    late = tmp_path / "late.tofw"
+    late.write_bytes(pack_weights(entries[:-1] + [(name, last.reshape(1, -1))]))
+    assert load_or_format_error(late, monkeypatch) is None
 
 
 # A valid file small enough to fuzz: two tensors of rank 2 and 1.
@@ -599,6 +650,9 @@ def parses_or_format_error(path, data: bytes):
         read_weights_file(path)
     except FormatError:
         pass
+    # Not the model's tensor set, so a load fails whatever the parse did.
+    with pytest.raises(FormatError):
+        load_weights(path, extents=(32, 32))
 
 
 @given(
@@ -617,6 +671,8 @@ def test_read_weights_file_truncations(tmp_path, length):
     path.write_bytes(SMALL_FILE[:length])
     with pytest.raises(FormatError):
         read_weights_file(path)
+    with pytest.raises(FormatError):
+        load_weights(path, extents=(32, 32))
 
 
 @given(st.integers(0, len(SMALL_FILE) - 1), st.integers(0, 255))
@@ -624,3 +680,98 @@ def test_read_weights_file_single_byte_edits(tmp_path, index, value):
     data = bytearray(SMALL_FILE)
     data[index] = value
     parses_or_format_error(tmp_path / "edit.tofw", bytes(data))
+
+
+# -- streamed loading --------------------------------------------------
+
+
+@functools.cache
+def model_file():
+    """A saved dwf=1 model (the smallest real architecture) with -0.0, NaN,
+    infinite and subnormal payload values, and the offsets of its header
+    bytes (everything but the float32 payloads)."""
+    entries = [(name, arr.copy()) for name, arr in small_model(seed=6).state_items()]
+    odd = np.array([-0.0, np.nan, -np.inf, np.inf, 1e-45], dtype=np.float32)
+    entries[0][1].reshape(-1)[: odd.size] = odd
+    blob = pack_weights(entries)
+    headers, pos = list(range(12)), 12
+    for name, arr in entries:
+        size = 2 + len(name.encode("utf-8")) + 1 + 4 * arr.ndim
+        headers += range(pos, pos + size)
+        pos += size + 4 * arr.size
+    assert pos == len(blob)
+    return blob, headers
+
+
+def load_or_format_error(path, monkeypatch):
+    """load_weights(path), or None after a FormatError; a failed load must
+    not have written any array of the model it built."""
+    built = []
+    assemble = model_module._assemble
+
+    def recording(cfg, rng):
+        built.append(assemble(cfg, rng))
+        return built[-1]
+
+    monkeypatch.setattr(model_module, "_assemble", recording)
+    try:
+        return load_weights(path, extents=(32, 32))
+    except FormatError:
+        for model in built:
+            fresh = assemble(model.cfg, None).state_items()
+            for (name, got), (_, want) in zip(model.state_items(), fresh):
+                assert np.array_equal(got, want), name
+        return None
+    finally:
+        monkeypatch.undo()
+
+
+def test_load_copies_every_payload_bit_for_bit(tmp_path):
+    path = tmp_path / "w.tofw"
+    path.write_bytes(model_file()[0])
+    views = read_weights_file(path)
+    loaded = load_weights(path, extents=(32, 32))
+    items = loaded.state_items()
+    assert [name for name, _ in items] == list(views)
+    for name, arr in items:
+        assert arr.astype("<f4").tobytes() == views[name].tobytes(), name
+
+
+def test_load_peak_is_about_the_model(tmp_path):
+    # The file is walked, then each payload is read into the model's own
+    # array: no whole-file buffer and no per-tensor copies.
+    path = tmp_path / "w.tofw"
+    path.write_bytes(model_file()[0])
+    tracemalloc.start()
+    try:
+        model = load_weights(path, extents=(32, 32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * sum(arr.nbytes for _, arr in model.state_items())
+
+
+@given(st.data())
+def test_load_weights_truncations(tmp_path, monkeypatch, data):
+    blob, headers = model_file()
+    length = data.draw(
+        st.one_of(st.sampled_from(headers), st.integers(0, len(blob) - 1))
+    )
+    path = tmp_path / "cut.tofw"
+    path.write_bytes(blob[:length])
+    assert load_or_format_error(path, monkeypatch) is None
+
+
+@given(st.data(), st.integers(0, 255))
+def test_load_weights_single_byte_edits(tmp_path, monkeypatch, data, value):
+    blob, headers = model_file()
+    index = data.draw(st.one_of(st.sampled_from(headers), st.integers(0, len(blob) - 1)))
+    edited = bytearray(blob)
+    edited[index] = value
+    path = tmp_path / "edit.tofw"
+    path.write_bytes(bytes(edited))
+    loaded = load_or_format_error(path, monkeypatch)
+    if loaded is not None:  # an edit that leaves a valid file loads it
+        views = read_weights_file(path)
+        for name, arr in loaded.state_items():
+            assert arr.astype("<f4").tobytes() == views[name].tobytes(), name

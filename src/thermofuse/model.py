@@ -100,7 +100,7 @@ class Block:
     are stride-1 conv / stride-2 conv / stride-2 transpose conv with leaky
     ReLU, "ll" is a stride-1 conv with plain ReLU, and "final" is a stride-1
     conv with sigmoid. `layers` runs in that order; `conv` and `bn` (None
-    without normalization) are the layers that hold state.
+    without normalization) are the layers that hold state, in `dtype`.
     """
 
     def __init__(
@@ -112,16 +112,17 @@ class Block:
         rng=None,
         dropout: bool = True,
         normalization: bool = True,
+        dtype=np.float64,
     ):
         if kind not in _BLOCK_KINDS:
             raise ShapeError(f"unknown block kind {kind!r}")
         stride, activation = _BLOCK_KINDS[kind]
         self.name = name
         if stride is None:
-            self.conv = Conv2DTransposeLayer(in_channels, filters, rng)
+            self.conv = Conv2DTransposeLayer(in_channels, filters, rng, dtype)
         else:
-            self.conv = Conv2DLayer(in_channels, filters, stride, rng)
-        self.bn = BatchNormLayer(filters) if normalization else None
+            self.conv = Conv2DLayer(in_channels, filters, stride, rng, dtype)
+        self.bn = BatchNormLayer(filters, dtype) if normalization else None
         self.layers = [self.conv, activation()]
         if self.bn is not None:
             self.layers.append(self.bn)
@@ -375,14 +376,8 @@ class _Builder:
               label=None):
         blk = Block(
             name, kind, self.channels[src], filters, self.rng,
-            dropout=dropout, normalization=normalization,
+            dropout=dropout, normalization=normalization, dtype=self.dtype,
         )
-        # Layers start in float64, so a seeded model holds the same values
-        # in either dtype; each array is cast once, as its block is built.
-        for _, layer in blk.stores():
-            for arrays in (layer.params, getattr(layer, "buffers", {})):
-                for key, arr in arrays.items():
-                    arrays[key] = arr.astype(self.dtype, copy=False)
         # label=None -> audit row under the node's own name; "" -> unlabelled.
         table_label = name if label is None else (label or None)
         self.nodes.append(
@@ -545,7 +540,10 @@ def _assemble(cfg: ModelConfig, rng) -> Model:
 
 
 def save_weights(model: Model, path) -> None:
-    """Write every parameter and batchnorm statistic as 32-bit floats."""
+    """Write every parameter and batchnorm statistic as 32-bit floats.
+
+    A little-endian float32 array is written from its own buffer; only
+    another dtype or byte order is converted, one tensor at a time."""
     items = model.state_items()
     with open(path, "wb") as fh:
         fh.write(WEIGHTS_MAGIC)
@@ -556,7 +554,7 @@ def save_weights(model: Model, path) -> None:
             fh.write(encoded)
             fh.write(struct.pack("<B", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
 def _walk_weights(fh) -> dict[str, tuple[tuple[int, ...], int]]:
@@ -621,9 +619,9 @@ def load_weights(path, extents: tuple[int, int] | None = None) -> Model:
 
     The base filter count is recovered from the input-stage kernel; spatial
     extents are free at load time (every layer is extent-agnostic) and
-    default to 128x128. No initial weights are drawn: the graph starts at
-    zero and every array is then overwritten from the file. The model is
-    float32, the file's own precision.
+    default to 128x128. No initial weights are drawn: the graph's float32
+    arrays (the file's own precision) start at zero, and reading the file
+    into them is the first write to each.
 
     The file is streamed, never held whole: its headers are walked and
     checked against the graph's tensor set and extents first, and only then

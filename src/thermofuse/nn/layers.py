@@ -7,8 +7,11 @@ an rng for their initial weights; without one the weights start at zero.
 Layers operate on batched arrays shaped (batch, height, width, channels).
 A layer with parameters computes in their dtype, casting its input and
 gradient to it; a layer without keeps a floating input's dtype (anything
-else becomes float64). A layer constructed here holds float64 parameters;
-`model.build_model` casts them to the model's dtype (float32 by default).
+else becomes float64). A layer with parameters takes that dtype when it is
+built (float64 by default; `model.build_model` passes the model's) and
+allocates each array once, in it: initial kernels are drawn in float64
+chunks of bounded size and written straight into the kernel, so they hold
+the same values in either dtype.
 
 Every `forward` takes `grad`: with `grad=True` (the default) the layer
 caches whatever the backward pass needs, and `backward` must be called
@@ -56,8 +59,11 @@ import numpy as np
 from ..errors import ShapeError, StateError
 
 KERNEL = 3
-# Values per gathered tap matrix in `correlate` (512 KB in float64).
+# Values per band operand in `correlate` (512 KB in float64), unless one
+# tap's weight slab is larger: see `_band_rows`.
 _BAND_ELEMENTS = 1 << 16
+# Float64 values per draw when a kernel is initialised (512 KB).
+_DRAW_ELEMENTS = 1 << 16
 LEAKY_ALPHA = 0.3
 BN_EPS = 1e-3
 BN_MOMENTUM = 0.99
@@ -82,6 +88,24 @@ def sigmoid(x, out=None):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def _channel_sum(x: np.ndarray) -> np.ndarray:
+    """`x.sum(axis=(0, 1, 2))`, bit for bit and faster. Over several
+    channels numpy adds the pixels in order, channel by channel, and so does
+    this einsum, without the per-channel overhead of the axis reduction; a
+    single channel numpy sums pairwise, so that one is left to `.sum`."""
+    c = x.shape[-1]
+    if c == 1:
+        return x.sum(axis=(0, 1, 2))
+    return np.einsum("ij->j", x.reshape(-1, c))
+
+
+def _channel_mean(x: np.ndarray) -> np.ndarray:
+    """`x.mean(axis=(0, 1, 2))`, bit for bit: the channel sum divided by the
+    pixel count into its own array, as `np.mean` divides."""
+    total = _channel_sum(x)
+    return np.true_divide(total, np.intp(x[..., 0].size), out=total, casting="unsafe")
 
 
 def _check_batched(x, dtype) -> np.ndarray:
@@ -120,14 +144,25 @@ def _taps(xp: np.ndarray, stride: int, out_h: int, out_w: int):
             ]
 
 
+def _band_rows(n: int, out_w: int, c: int, f: int) -> int:
+    """Output rows per band of `correlate` for a batch of `n`, `out_w`
+    output columns and a c -> f kernel. A band's operand (its rows times the
+    wider of c and f) holds about _BAND_ELEMENTS values, rounded down, but
+    never less than one tap's c x f weight slab, rounded up to whole rows.
+    So a wide layer streams each slab once per band of at least its own
+    size, and a band stays under the larger of the two plus one row."""
+    row = n * out_w * max(c, f)
+    return max(_BAND_ELEMENTS // row, (c * f + row - 1) // row)
+
+
 def correlate(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     """SAME-padded y = sum of tap(xp) @ w[i, j], one band of output rows at
-    a time: a band's taps are gathered into one GEMM operand of at most
-    _BAND_ELEMENTS values, whatever the image size."""
+    a time (`_band_rows`): a band's taps are gathered into one GEMM operand
+    of bounded size, whatever the image size."""
     n, h, wd, c = x.shape
     xp = _pad(x, stride)
     out_h, out_w, f = h // stride, wd // stride, w.shape[3]
-    band = max(1, _BAND_ELEMENTS // (n * out_w * max(c, f)))
+    band = _band_rows(n, out_w, c, f)
     y = np.zeros((n, out_h, out_w, f), dtype=np.result_type(x, w))
     for r in range(0, out_h, band):
         y_band = y[:, r : r + band]
@@ -170,16 +205,20 @@ class _Conv:
     check, the bias and its gradient. A subclass supplies its output shape,
     its unbiased forward and its (kernel, input) gradients from the kernels."""
 
-    def __init__(self, in_channels: int, filters: int, w_channels, rng):
+    def __init__(self, in_channels: int, filters: int, w_channels, rng, dtype):
         self.in_channels = in_channels
         self.filters = filters
-        shape = (KERNEL, KERNEL, *w_channels)
-        if rng is None:  # zeros, for weights that are about to be overwritten
-            w = np.zeros(shape)
-        else:  # Glorot uniform; fans are receptive field times channel counts
+        # Without an rng the kernel stays zero, for weights that are about
+        # to be overwritten. With one it is Glorot uniform (fans are receptive
+        # field times channel counts), drawn chunk by chunk into the kernel.
+        w = np.zeros((KERNEL, KERNEL, *w_channels), dtype=dtype)
+        if rng is not None:
             limit = np.sqrt(6.0 / (KERNEL * KERNEL * sum(w_channels)))
-            w = rng.uniform(-limit, limit, size=shape)
-        self.params = {"w": w, "b": np.zeros(filters, dtype=np.float64)}
+            flat = w.reshape(-1)
+            for start in range(0, flat.size, _DRAW_ELEMENTS):
+                part = flat[start : start + _DRAW_ELEMENTS]
+                part[:] = rng.uniform(-limit, limit, size=part.size)
+        self.params = {"w": w, "b": np.zeros(filters, dtype=dtype)}
         self.grads: dict[str, np.ndarray] = {}
         self._cache = None
 
@@ -201,7 +240,7 @@ class _Conv:
         if dy.shape != shape:
             raise ShapeError(f"gradient shape {dy.shape} does not match output {shape}")
         self.grads["w"], dx = self._grads(x, dy)
-        self.grads["b"] = dy.sum(axis=(0, 1, 2))
+        self.grads["b"] = _channel_sum(dy)
         return dx
 
 
@@ -211,11 +250,14 @@ class Conv2DLayer(_Conv):
     Weights are shaped (3, 3, in_channels, filters), bias (filters,).
     """
 
-    def __init__(self, in_channels: int, filters: int, stride: int = 1, rng=None):
+    def __init__(
+        self, in_channels: int, filters: int, stride: int = 1, rng=None,
+        dtype=np.float64,
+    ):
         if stride not in (1, 2):
             raise ShapeError(f"stride must be 1 or 2, got {stride}")
         self.stride = stride
-        super().__init__(in_channels, filters, (in_channels, filters), rng)
+        super().__init__(in_channels, filters, (in_channels, filters), rng, dtype)
 
     def _out_shape(self, x_shape):
         n, h, w, _ = x_shape
@@ -236,8 +278,8 @@ class Conv2DTransposeLayer(_Conv):
     the stride-2 convolution it inverts spatially.
     """
 
-    def __init__(self, in_channels: int, filters: int, rng=None):
-        super().__init__(in_channels, filters, (filters, in_channels), rng)
+    def __init__(self, in_channels: int, filters: int, rng=None, dtype=np.float64):
+        super().__init__(in_channels, filters, (filters, in_channels), rng, dtype)
 
     def _out_shape(self, x_shape):
         n, h, w, _ = x_shape
@@ -259,15 +301,15 @@ class BatchNormLayer:
     single value per channel. BN_EPS is added inside the square root.
     """
 
-    def __init__(self, channels: int):
+    def __init__(self, channels: int, dtype=np.float64):
         self.channels = channels
         self.params = {
-            "gamma": np.ones(channels, dtype=np.float64),
-            "beta": np.zeros(channels, dtype=np.float64),
+            "gamma": np.ones(channels, dtype=dtype),
+            "beta": np.zeros(channels, dtype=dtype),
         }
         self.buffers = {
-            "moving_mean": np.zeros(channels, dtype=np.float64),
-            "moving_var": np.ones(channels, dtype=np.float64),
+            "moving_mean": np.zeros(channels, dtype=dtype),
+            "moving_var": np.ones(channels, dtype=dtype),
         }
         self.grads: dict[str, np.ndarray] = {}
         self._cache = None
@@ -289,13 +331,13 @@ class BatchNormLayer:
             # batch is normalized like inference, by the running statistics.
             training = x[..., 0].size > 1
         if training:
-            mean = x.mean(axis=(0, 1, 2))
+            mean = _channel_mean(x)
         else:
             mean = self.buffers["moving_mean"]
         y = np.subtract(x, mean, out=x if in_place else None)
         if training:
             # np.var's own arithmetic, on the centred batch.
-            var = (y * y).mean(axis=(0, 1, 2))
+            var = _channel_mean(y * y)
             m = BN_MOMENTUM
             self.buffers["moving_mean"] = m * self.buffers["moving_mean"] + (1 - m) * mean
             self.buffers["moving_var"] = m * self.buffers["moving_var"] + (1 - m) * var
@@ -315,14 +357,14 @@ class BatchNormLayer:
     def backward(self, dout):
         xhat, inv_std, training = self._cache
         dout = np.asarray(dout, dtype=xhat.dtype)
-        self.grads["gamma"] = (dout * xhat).sum(axis=(0, 1, 2))
-        self.grads["beta"] = dout.sum(axis=(0, 1, 2))
+        self.grads["gamma"] = _channel_sum(dout * xhat)
+        self.grads["beta"] = _channel_sum(dout)
         dxhat = dout * self.params["gamma"]
         if not training:
             return dxhat * inv_std
         m = float(np.prod(xhat.shape[:3]))
-        sum_dxhat = dxhat.sum(axis=(0, 1, 2))
-        sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 1, 2))
+        sum_dxhat = _channel_sum(dxhat)
+        sum_dxhat_xhat = _channel_sum(dxhat * xhat)
         return (inv_std / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
 
 
@@ -402,8 +444,8 @@ class DropoutLayer:
         if rng is None:
             raise StateError("dropout in training mode needs an rng")
         # float64 draws in every dtype, so the random stream is dtype-free.
-        mask = (rng.random(x.shape) >= DROPOUT_RATE).astype(x.dtype)
-        mask /= 1.0 - DROPOUT_RATE
+        scale = x.dtype.type(1 / (1 - DROPOUT_RATE))
+        mask = (rng.random(x.shape) >= DROPOUT_RATE) * scale
         self._mask = mask if grad else None
         return np.multiply(x, mask, out=x if in_place else None)
 

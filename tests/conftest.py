@@ -1,5 +1,8 @@
 from hypothesis import HealthCheck, settings
 
+# `pytester` runs an inner pytest session under the project's own settings.
+pytest_plugins = ["pytester"]
+
 # One profile for every property test: enough examples to reach the error
 # paths, no per-example deadline (some cases build files), and derandomized
 # so a tier-1 run is reproducible.

@@ -17,7 +17,19 @@ from thermofuse.nn import (
     gradient_check,
     sigmoid,
 )
-from thermofuse.nn.layers import LEAKY_ALPHA, correlate, correlate_adjoint, kernel_grad
+from thermofuse.nn.layers import (
+    _BAND_ELEMENTS,
+    _DRAW_ELEMENTS,
+    DROPOUT_RATE,
+    KERNEL,
+    LEAKY_ALPHA,
+    _band_rows,
+    _channel_mean,
+    _channel_sum,
+    correlate,
+    correlate_adjoint,
+    kernel_grad,
+)
 
 
 def test_activation_functions():
@@ -200,6 +212,58 @@ def test_conv_working_set_is_a_few_inputs():
     assert transpose._cache is x
 
 
+@given(
+    n=st.integers(1, 64), out_w=st.integers(1, 512),
+    c=st.integers(1, 4096), f=st.integers(1, 4096),
+)
+def test_band_holds_a_weight_slab_and_stays_bounded(n, out_w, c, f):
+    # A band's operand is its rows times the wider side of the product: at
+    # least one tap's c x f slab, and at most the larger of the budget and
+    # that slab, plus one row.
+    row = n * out_w * max(c, f)
+    operand = _band_rows(n, out_w, c, f) * row
+    assert operand >= c * f
+    assert operand <= max(_BAND_ELEMENTS, c * f) + row
+
+
+def test_wide_layer_runs_in_one_band():
+    # op2_9 of the published network at 256x256: a 16x16 map, 1536 -> 1024.
+    assert _band_rows(1, 16, 1536, 1024) >= 16
+    # Small layers keep the budget's band: 512 KB of float64 operand.
+    assert _band_rows(8, 32, 4, 4) * 8 * 32 * 4 == _BAND_ELEMENTS
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layers_are_born_in_their_dtype(dtype):
+    # Each array is allocated once, in the layer's dtype; a seeded kernel
+    # holds the float64 draws of one `uniform` call, rounded once, even
+    # across the chunks it is drawn in.
+    conv = Conv2DLayer(128, 64, rng=np.random.default_rng(5), dtype=dtype)
+    assert conv.params["w"].size > _DRAW_ELEMENTS
+    limit = np.sqrt(6.0 / (KERNEL * KERNEL * (128 + 64)))
+    want = np.random.default_rng(5).uniform(-limit, limit, size=(3, 3, 128, 64))
+    assert same_bits(conv.params["w"], want.astype(dtype))
+    transpose = Conv2DTransposeLayer(2, 3, dtype=dtype)
+    bn = BatchNormLayer(3, dtype=dtype)
+    arrays = [*conv.params.values(), *transpose.params.values()]
+    arrays += [*bn.params.values(), *bn.buffers.values()]
+    assert {a.dtype for a in arrays} == {np.dtype(dtype)}
+    assert not transpose.params["w"].any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@given(
+    shape=st.tuples(
+        st.integers(1, 9), st.integers(1, 17), st.integers(1, 17), st.integers(1, 39)
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_channel_sum_and_mean_match_numpy_bitwise(dtype, shape, seed):
+    x = np.random.default_rng(seed).normal(scale=100.0, size=shape).astype(dtype)
+    assert same_bits(_channel_sum(x), x.sum(axis=(0, 1, 2)))
+    assert same_bits(_channel_mean(x), x.mean(axis=(0, 1, 2)))
+
+
 def test_batchnorm_training_statistics():
     rng = np.random.default_rng(4)
     layer = BatchNormLayer(3)
@@ -283,6 +347,19 @@ def test_dropout_scaling_and_determinism():
     assert np.allclose(y1[kept], 2.0)  # inverted scaling by 1/(1-rate)
     with pytest.raises(StateError):
         layer.forward(x, training=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_mask_matches_two_step_mask(dtype):
+    # One expression from the same float64 draws: the values of the cast
+    # mask divided by the keep rate.
+    x = np.ones((2, 9, 7, 5), dtype=dtype)
+    layer = DropoutLayer()
+    y = layer.forward(x, training=True, rng=np.random.default_rng(17))
+    old = (np.random.default_rng(17).random(x.shape) >= DROPOUT_RATE).astype(dtype)
+    old /= 1.0 - DROPOUT_RATE
+    assert same_bits(layer._mask, old)
+    assert same_bits(y, x * old)
 
 
 def test_rank_validation():

@@ -175,6 +175,17 @@ class Model:
     `activation(name)` exposes cached intermediates; `backward` then
     accumulates parameter gradients, handling the skip and tiling fan-out.
 
+    One `backward` runs per `grad=True` forward, and it consumes that
+    forward's cache: each layer drops its own cache as it runs, and each
+    node's output is dropped as soon as the earliest of its consumers (in
+    forward order) has run its backward, so nothing is cached when
+    `backward` returns. `activation` and a second `backward` then raise
+    StateError. A `backward` given a gradient of the wrong shape raises
+    ShapeError before it drops anything. `gradients()` hands the gradients
+    over: the layers let go of them, so they live only as long as the
+    caller keeps the dict, and a second call raises StateError until the
+    next `backward`.
+
     `forward(..., grad=False)` is the gradient-free pass for inference: it
     returns the same output bit for bit and fills `last_audit`, but no
     layer keeps a backward cache, each block's later layers overwrite its
@@ -199,11 +210,20 @@ class Model:
         # (name prefix, layer) for every stateful layer, in graph order.
         self._stores = [s for node in nodes if node.block for s in node.block.stores()]
         self._params = self._named("params")
-        # Node name -> names of the inputs it is the last consumer of.
+        # Node name -> names of the inputs it is the last consumer of, for
+        # the gradient-free forward.
         self._frees: dict[str, list[str]] = {}
         last_consumer = {src: node.name for node in nodes for src in node.inputs}
         for src, consumer in last_consumer.items():
             self._frees.setdefault(consumer, []).append(src)
+        # Node name -> cached outputs that no backward step after its own
+        # reads: those of the inputs it is the first consumer of, and its own
+        # if nothing consumes it.
+        self._releases: dict[str, list[str]] = {}
+        first_consumer = {src: node.name for node in reversed(nodes) for src in node.inputs}
+        for node in nodes:
+            consumer = first_consumer.get(node.name, node.name)
+            self._releases.setdefault(consumer, []).append(node.name)
         self._cache: dict[str, np.ndarray] = {}
         self.last_audit: list[tuple[str, tuple[int, ...]]] = []
 
@@ -214,8 +234,14 @@ class Model:
         return self._params
 
     def gradients(self) -> dict[str, np.ndarray]:
-        """The last backward pass's gradients, keyed like `parameters`."""
-        return self._named("grads")
+        """The last backward pass's gradients, keyed like `parameters`,
+        handed over: the layers let go of them (see the class docstring)."""
+        grads = self._named("grads")
+        if len(grads) != len(self._params):
+            raise StateError("gradients need a backward pass since they were last taken")
+        for _, layer in self._stores:
+            layer.grads = {}
+        return grads
 
     def state_items(self) -> list[tuple[str, np.ndarray]]:
         """Parameters plus batchnorm running statistics, in graph order."""
@@ -317,8 +343,8 @@ class Model:
         for node in reversed(self.nodes):
             g = grads.pop(node.name, None)
             if g is None:
-                continue
-            if node.op == "input":
+                pass  # no gradient reaches this node
+            elif node.op == "input":
                 dinput = g
             elif node.op == "block":
                 self._accumulate(grads, node.inputs[0], node.block.backward(g))
@@ -337,6 +363,8 @@ class Model:
                 gb = g[tuple(index)].copy()
                 self._accumulate(grads, a, ga)
                 self._accumulate(grads, b, gb)
+            for src in self._releases.get(node.name, ()):
+                del self._cache[src]
         return _unbatched(dinput, rank)
 
     @staticmethod

@@ -14,10 +14,13 @@ chunks of bounded size and written straight into the kernel, so they hold
 the same values in either dtype.
 
 Every `forward` takes `grad`: with `grad=True` (the default) the layer
-caches whatever the backward pass needs, and `backward` must be called
-after that forward. With `grad=False` it runs the same arithmetic,
-returns a bit-identical result, keeps nothing and drops what an earlier
-forward kept; call `backward` only after a `grad=True` forward. `grad` is
+caches whatever the backward pass needs, and one `backward` may follow.
+That backward consumes the cache: it reads it once and drops it, so the
+layer keeps no activation after its backward has run. A `backward` with
+no pending `grad=True` forward (none yet, a `grad=False` one since, or a
+second `backward` after the first) raises StateError. With `grad=False`
+the forward runs the same arithmetic, returns a bit-identical result,
+keeps nothing and drops what an earlier forward kept. `grad` is
 independent of `training`: an inference-mode forward can still be
 differentiated. With `grad=False` the layers after a convolution can
 also write their result into `x` itself (through numpy's `out=`) instead
@@ -25,6 +28,10 @@ of a new array; `in_place=True` asks for that. Only a caller that owns
 `x` and keeps nothing else of it may ask: `model.Block` does, for the
 fresh output of its own convolution. A layer called on its own never
 writes its input.
+
+A layer's `grads` hold its last backward's parameter gradients until
+their owner takes them: `model.Model.gradients` hands them over and
+empties `grads`.
 
 The activations are branch-free: ReLU is `np.maximum(x, 0.0)` and leaky
 ReLU `np.maximum(x, LEAKY_ALPHA * x)`; their backward passes multiply by
@@ -106,6 +113,16 @@ def _channel_mean(x: np.ndarray) -> np.ndarray:
     pixel count into its own array, as `np.mean` divides."""
     total = _channel_sum(x)
     return np.true_divide(total, np.intp(x[..., 0].size), out=total, casting="unsafe")
+
+
+def _pending(cache, layer):
+    """`cache`, the state a `grad=True` forward left for `layer`'s backward;
+    StateError if there is none."""
+    if cache is None:
+        raise StateError(
+            f"{type(layer).__name__}.backward needs a pending forward with grad=True"
+        )
+    return cache
 
 
 def _check_batched(x, dtype) -> np.ndarray:
@@ -234,11 +251,12 @@ class _Conv:
         return y
 
     def backward(self, dout):
-        x = self._cache
+        x = _pending(self._cache, self)
         dy = np.asarray(dout, dtype=x.dtype)
         shape = self._out_shape(x.shape)
         if dy.shape != shape:
             raise ShapeError(f"gradient shape {dy.shape} does not match output {shape}")
+        self._cache = None
         self.grads["w"], dx = self._grads(x, dy)
         self.grads["b"] = _channel_sum(dy)
         return dx
@@ -355,7 +373,8 @@ class BatchNormLayer:
         return y
 
     def backward(self, dout):
-        xhat, inv_std, training = self._cache
+        xhat, inv_std, training = _pending(self._cache, self)
+        self._cache = None
         dout = np.asarray(dout, dtype=xhat.dtype)
         self.grads["gamma"] = _channel_sum(dout * xhat)
         self.grads["beta"] = _channel_sum(dout)
@@ -383,7 +402,9 @@ class ReLULayer:
         return np.maximum(x, 0.0, out=x if in_place else None)
 
     def backward(self, dout):
-        return _floating(dout) * self._mask
+        mask = _pending(self._mask, self)
+        self._mask = None
+        return _floating(dout) * mask
 
 
 class LeakyReLULayer:
@@ -401,8 +422,10 @@ class LeakyReLULayer:
         return np.maximum(x, LEAKY_ALPHA * x, out=x if in_place else None)
 
     def backward(self, dout):
+        mask = _pending(self._mask, self)
+        self._mask = None
         dout = _floating(dout)
-        return dout * np.maximum(self._mask, dout.dtype.type(LEAKY_ALPHA))
+        return dout * np.maximum(mask, dout.dtype.type(LEAKY_ALPHA))
 
 
 class SigmoidLayer:
@@ -421,7 +444,14 @@ class SigmoidLayer:
         return out
 
     def backward(self, dout):
-        return dout * self._out * (1.0 - self._out)
+        out = _pending(self._out, self)
+        self._out = None
+        return dout * out * (1.0 - out)
+
+
+# DropoutLayer._mask after an inference-mode `grad=True` forward: the
+# pending backward is the identity.
+_IDENTITY = object()
 
 
 class DropoutLayer:
@@ -439,7 +469,7 @@ class DropoutLayer:
     ):
         x = _floating(x)
         if not training:
-            self._mask = None
+            self._mask = _IDENTITY if grad else None
             return x
         if rng is None:
             raise StateError("dropout in training mode needs an rng")
@@ -450,6 +480,8 @@ class DropoutLayer:
         return np.multiply(x, mask, out=x if in_place else None)
 
     def backward(self, dout):
-        if self._mask is None:
+        mask = _pending(self._mask, self)
+        self._mask = None
+        if mask is _IDENTITY:
             return dout
-        return dout * self._mask
+        return dout * mask

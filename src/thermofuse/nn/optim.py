@@ -53,9 +53,19 @@ class Adam:
 
         The whole update is rejected, with the offending parameter blocks
         named, if any gradient contains a non-finite value; no state
-        changes in that case, nor when a parameter is not C-contiguous
-        (parameters are updated through flat views).
+        changes in that case, nor when the gradients' names or shapes differ
+        from the parameters' (StateError), nor when a parameter is not
+        C-contiguous (parameters are updated through flat views).
         """
+        mismatch = [f"missing {name!r}" for name in params if name not in grads]
+        mismatch += [f"unexpected {name!r}" for name in grads if name not in params]
+        mismatch += [
+            f"{name!r} has shape {np.shape(grads[name])}, parameter {p.shape}"
+            for name, p in params.items()
+            if name in grads and np.shape(grads[name]) != p.shape
+        ]
+        if mismatch:
+            raise StateError("gradients do not match the parameters: " + "; ".join(mismatch))
         bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
         if bad:
             raise NonFiniteGradientError(bad)

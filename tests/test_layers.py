@@ -412,15 +412,66 @@ def test_gradient_check_batch_norm_training(shape):
 
 
 def test_dropout_backward_is_mask_product():
-    # the training-mode Jacobian is diagonal: exactly the stored mask
+    # the training-mode Jacobian is diagonal: exactly the stored mask, which
+    # backward consumes, so it is read before
     rng = np.random.default_rng(7)
     layer = DropoutLayer()
     x = rng.normal(size=(2, 5, 5, 2))
     y = layer.forward(x, training=True, rng=np.random.default_rng(1))
     mask = np.where(x != 0.0, y / np.where(x == 0.0, 1.0, x), 0.0)
+    stored = layer._mask
     dy = rng.normal(size=y.shape)
-    assert np.allclose(layer.backward(dy), dy * layer._mask, atol=0.0)
-    assert np.allclose(layer._mask[x != 0.0], mask[x != 0.0], atol=1e-12)
+    assert np.allclose(layer.backward(dy), dy * stored, atol=0.0)
+    assert np.allclose(stored[x != 0.0], mask[x != 0.0], atol=1e-12)
+    assert layer._mask is None
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Conv2DLayer(2, 3, stride=2, rng=np.random.default_rng(0)),
+        lambda: Conv2DTransposeLayer(2, 3, rng=np.random.default_rng(0)),
+        lambda: BatchNormLayer(2),
+        ReLULayer,
+        LeakyReLULayer,
+        SigmoidLayer,
+        DropoutLayer,
+    ],
+    ids=["conv", "transpose", "batchnorm", "relu", "leaky", "sigmoid", "dropout"],
+)
+@pytest.mark.parametrize("training", [False, True])
+def test_backward_consumes_its_forward(make, training):
+    # One backward per grad=True forward: it drops the cache it read, and a
+    # backward with nothing pending (none yet, after a grad=False forward,
+    # or a second one) is a StateError. Dropout's inference-mode pass is
+    # pending too: its backward is the identity.
+    layer = make()
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(2, 4, 4, 2))
+    with pytest.raises(StateError):
+        layer.backward(np.ones((2, 4, 4, 2)))
+    y = layer.forward(x, training=training, rng=rng)
+    dy = rng.normal(size=y.shape)
+    dx = layer.backward(dy)
+    assert dx.shape == x.shape
+    for attr in ("_cache", "_mask", "_out"):
+        assert getattr(layer, attr, None) is None, attr
+    with pytest.raises(StateError):
+        layer.backward(dy)
+    layer.forward(x, training=training, rng=rng)
+    layer.forward(x, training=training, rng=rng, grad=False)
+    with pytest.raises(StateError):
+        layer.backward(dy)
+
+
+def test_conv_backward_shape_error_keeps_the_cache():
+    layer = Conv2DLayer(2, 3, rng=np.random.default_rng(0))
+    x = np.random.default_rng(1).normal(size=(2, 4, 4, 2))
+    y = layer.forward(x)
+    with pytest.raises(ShapeError):
+        layer.backward(np.ones((2, 4, 4, 2)))
+    assert layer._cache is x
+    assert layer.backward(np.ones_like(y)).shape == x.shape
 
 
 def test_gradient_check_flags_broken_backward():

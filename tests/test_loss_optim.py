@@ -185,3 +185,26 @@ def test_adam_rejects_non_contiguous_parameters_and_keeps_state():
         opt.step({"p": p, "q": q}, {"p": np.ones(3), "q": np.ones((4, 2))})
     assert opt.step_count == 0 and not opt.m
     assert np.array_equal(p, np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "grads,named",
+    [
+        ({"a": np.ones(2)}, "missing 'b'"),
+        ({"a": np.ones(2), "b": np.ones(3), "c": np.ones(1)}, "unexpected 'c'"),
+        ({"a": np.ones(2), "b": np.ones(4)}, "'b' has shape"),
+    ],
+)
+def test_adam_rejects_mismatched_gradients_and_keeps_state(grads, named):
+    # Checked before anything moves: `a` comes first, and used to be
+    # updated before a missing `b` raised KeyError.
+    params = {"a": np.zeros(2), "b": np.zeros(3)}
+    opt = Adam()
+    opt.step(params, {"a": np.ones(2), "b": np.ones(3)})
+    before = {k: (p.copy(), opt.m[k].copy(), opt.v[k].copy()) for k, p in params.items()}
+    with pytest.raises(StateError, match=named):
+        opt.step(params, grads)
+    assert opt.step_count == 1
+    for k, (p, m, v) in before.items():
+        assert np.array_equal(params[k], p), k
+        assert np.array_equal(opt.m[k], m) and np.array_equal(opt.v[k], v), k

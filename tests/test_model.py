@@ -291,10 +291,13 @@ def test_backward_leaves_forward_activations_unchanged():
     y = model.forward(x, training=True, rng=np.random.default_rng(5))
     names = [node.name for node in model.nodes]
     assert {"d10", "ca1", "ch1", "cv1", "cd1", "ll1_blk7", "ca2", "ch2", "cv2", "cd2"} <= set(names)
-    before = {name: model.activation(name).copy() for name in names}
+    # Backward drops its cache, so the test keeps its own references to the
+    # cached arrays (slice views included) and compares them afterwards.
+    cached = {name: model.activation(name) for name in names}
+    before = {name: a.copy() for name, a in cached.items()}
     model.backward(rng.normal(size=y.shape))
     for name in names:
-        assert np.array_equal(model.activation(name), before[name]), name
+        assert np.array_equal(cached[name], before[name]), name
 
 
 def test_injection_rejects_wrong_shape():
@@ -465,15 +468,121 @@ def test_no_grad_forward_peak_is_a_few_activations():
 
 def test_backward_rank_follows_dout():
     model = small_model()
-    x = np.random.default_rng(12).uniform(size=(32, 32))
-    y = model.forward(x[None, ..., None])
-    assert model.backward(np.ones(y.shape[1:3])).shape == (32, 32)
-    assert model.backward(np.ones(y.shape[1:])).shape == (32, 32, 1)
-    assert model.backward(np.ones(y.shape)).shape == (1, 32, 32, 1)
+    x = np.random.default_rng(12).uniform(size=(32, 32))[None, ..., None]
+    # One backward per forward: each backward consumes its forward's cache.
+    for shape in [(32, 32), (32, 32, 1), (1, 32, 32, 1)]:
+        model.forward(x)
+        assert model.backward(np.ones(shape)).shape == shape
+    model.forward(x)
     with pytest.raises(ShapeError):
         model.backward(np.ones((16, 32)))
     with pytest.raises(ShapeError):
         model.backward(np.ones((2, 32, 32, 1)))
+
+
+# -- training memory ---------------------------------------------------
+
+
+def toy_step_inputs():
+    """The toy training step's model, dropout rng, batch of 8 and target."""
+    rng = np.random.default_rng(5)
+    x = rng.uniform(size=(8, 32, 32, 1)).astype(np.float32)
+    target = rng.uniform(size=(8, 32, 32, 1)).astype(np.float32)
+    return small_model(), rng, x, target
+
+
+def test_backward_leaves_only_parameters_and_gradients():
+    model, rng, x, target = toy_step_inputs()
+    tracemalloc.start()
+    try:
+        y = model.forward(x, training=True, rng=rng)
+        largest = max(model.activation(node.name).nbytes for node in model.nodes)
+        dl = logcosh_loss(y, target)[1]
+        del y
+        model.backward(dl)
+        del dl
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert not model._cache
+    for block in (n.block for n in model.nodes if n.block is not None):
+        for layer in block.layers:
+            for attr in ("_cache", "_mask", "_out"):
+                assert getattr(layer, attr, None) is None, (block.name, attr)
+    grads = sum(g.nbytes for g in model.gradients().values())
+    stats = sum(a.nbytes for name, a in model.state_items() if "/moving_" in name)
+    # What the pass allocated and still holds, beyond the gradients and the
+    # updated running statistics: with every activation cached until the
+    # next forward that was 8.9 MB (the whole pass's outputs, masks and
+    # batch-norm caches); released, it is 85 KB of array headers, less than
+    # the largest activation (128 KiB).
+    assert held - grads - stats < largest
+
+
+def test_training_step_peak_is_model_state_and_live_activations():
+    model, rng, x, target = toy_step_inputs()
+    params = model.parameters()
+    state = sum(p.nbytes for p in params.values())
+    opt = Adam()
+
+    def step():
+        y = model.forward(x, training=True, rng=rng)
+        model.backward(logcosh_loss(y, target)[1])
+        opt.step(params, model.gradients())
+
+    tracemalloc.start()
+    try:
+        step()  # allocates Adam's moments
+        tracemalloc.reset_peak()
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Beyond the parameters: Adam's two moments and one set of gradients
+    # (3x the parameter bytes) plus the activations still to be read. When
+    # every activation stayed cached until the next forward and the last
+    # step's gradients lived through this step, the peak was 4.18x; now it
+    # is 3.34x.
+    assert peak < 3.6 * state
+
+
+def test_backward_and_gradients_run_once_per_forward():
+    model = small_model()
+    x = np.random.default_rng(15).uniform(size=(2, 32, 32, 1))
+    with pytest.raises(StateError):
+        model.gradients()
+    y = model.forward(x)
+    model.backward(np.ones_like(y))
+    with pytest.raises(StateError):
+        model.activation("op1")
+    with pytest.raises(StateError):
+        model.backward(np.ones_like(y))
+    grads = model.gradients()
+    assert list(grads) == list(model.parameters())
+    with pytest.raises(StateError):
+        model.gradients()
+    # The next forward and backward make a fresh set.
+    model.forward(x)
+    model.backward(np.ones_like(y))
+    assert model.gradients().keys() == grads.keys()
+
+
+def test_failed_backward_releases_nothing():
+    rng = np.random.default_rng(16)
+    x = rng.uniform(size=(2, 32, 32, 1))
+    dout = rng.normal(size=(2, 32, 32, 1))
+    want = small_model()
+    want.forward(x)
+    want_dx = want.backward(dout)
+    want_grads = want.gradients()
+    model = small_model()
+    model.forward(x)
+    with pytest.raises(ShapeError):
+        model.backward(dout[:1])
+    assert np.array_equal(model.backward(dout), want_dx)
+    got = model.gradients()
+    for name, g in want_grads.items():
+        assert np.array_equal(got[name], g), name
 
 
 # -- weights file format ----------------------------------------------

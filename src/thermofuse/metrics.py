@@ -2,7 +2,21 @@
 
 All three operate on the 0-255 intensity scale. SSIM uses the reference
 configuration: 11x11 Gaussian window with sigma 1.5, K1 = 0.01, K2 = 0.03,
-dynamic range 255, averaged over valid window positions.
+dynamic range 255, averaged over valid window positions. Every score
+rejects an image holding NaN or inf with ValidationError.
+
+The Gaussian window is separable, so SSIM's five moment planes are each
+filtered along one axis and then the other. Each axis is a banded matrix
+product: a fixed (64, 74) band, row i holding the kernel at columns
+i .. i + 10, maps 74 input rows (or columns) to 64 outputs in one GEMM,
+and a partial last block takes its top-left corner. Work stays linear in
+the pixel count and nothing 11x the image is allocated. The band's zeros
+multiply pixels outside each window, which is why a non-finite pixel
+would spoil a whole block, not only its own windows. BLAS sums the 11
+taps in its own order, so the map differs from a tap-by-tap sum in its
+last bits: by at most 1.5e-12 over 128 synthetic pairs, the size of the
+rounding either order already carries from the variance's E[x^2] - mu^2
+cancellation.
 """
 
 from __future__ import annotations
@@ -10,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError, ValidationError
 
@@ -19,6 +32,8 @@ SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 DYNAMIC_RANGE = 255.0
+# Outputs per banded GEMM in `_windowed_mean`.
+_BAND_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -37,6 +52,9 @@ def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeError(f"extent mismatch: {av.shape} vs {bv.shape}")
     if av.size == 0:
         raise ShapeError(f"empty image {av.shape}")
+    for name, img in (("first", av), ("second", bv)):
+        if not np.isfinite(img).all():
+            raise ValidationError(f"{name} image has non-finite values")
     return av, bv
 
 
@@ -71,11 +89,37 @@ def gaussian_kernel(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.nd
     return kernel / kernel.sum()
 
 
-def _windowed_mean(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Valid-mode separable weighted mean over sliding windows."""
+def _band_matrix(kernel: np.ndarray) -> np.ndarray:
+    """(_BAND_ROWS, _BAND_ROWS + size - 1) matrix whose row i holds `kernel`
+    at columns i .. i + size - 1 and zeros elsewhere."""
     size = kernel.size
-    rows = np.tensordot(sliding_window_view(img, size, axis=0), kernel, axes=([2], [0]))
-    return np.tensordot(sliding_window_view(rows, size, axis=1), kernel, axes=([2], [0]))
+    width = _BAND_ROWS + size - 1
+    # Copy i of the kernel starts a row one element longer than the band:
+    # read back `width` elements at a time, it lands i columns into row i.
+    band = np.zeros((_BAND_ROWS, width + 1))
+    band[:, :size] = kernel
+    return band.reshape(-1)[: _BAND_ROWS * width].reshape(_BAND_ROWS, width)
+
+
+def _windowed_mean(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Valid-mode separable weighted mean over sliding windows.
+
+    Each axis is filtered as banded matrix products over blocks of at most
+    `_BAND_ROWS` outputs: one GEMM per block, no copy of the windows.
+    """
+    band = _band_matrix(kernel)
+    halo = kernel.size - 1
+    rows_out = img.shape[0] - halo
+    cols_out = img.shape[1] - halo
+    rows = np.empty((rows_out, img.shape[1]))
+    for r in range(0, rows_out, _BAND_ROWS):
+        m = min(_BAND_ROWS, rows_out - r)
+        np.matmul(band[:m, : m + halo], img[r : r + m + halo], out=rows[r : r + m])
+    out = np.empty((rows_out, cols_out))
+    for c in range(0, cols_out, _BAND_ROWS):
+        m = min(_BAND_ROWS, cols_out - c)
+        np.matmul(rows[:, c : c + m + halo], band[:m, : m + halo].T, out=out[:, c : c + m])
+    return out
 
 
 def ssim_map(a, b) -> np.ndarray:

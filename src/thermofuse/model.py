@@ -181,10 +181,12 @@ class Model:
     forward order) has run its backward, so nothing is cached when
     `backward` returns. `activation` and a second `backward` then raise
     StateError. A `backward` given a gradient of the wrong shape raises
-    ShapeError before it drops anything. `gradients()` hands the gradients
-    over: the layers let go of them, so they live only as long as the
-    caller keeps the dict, and a second call raises StateError until the
-    next `backward`.
+    ShapeError before it drops anything. A forward with `overrides` caches
+    its activations, but its `backward` raises StateError naming the
+    injected nodes before any layer runs: their blocks did not run in that
+    pass. `gradients()` hands the gradients over: the layers let go of
+    them, so they live only as long as the caller keeps the dict, and a
+    second call raises StateError until the next `backward`.
 
     `forward(..., grad=False)` is the gradient-free pass for inference: it
     returns the same output bit for bit and fills `last_audit`, but no
@@ -225,6 +227,8 @@ class Model:
             consumer = first_consumer.get(node.name, node.name)
             self._releases.setdefault(consumer, []).append(node.name)
         self._cache: dict[str, np.ndarray] = {}
+        # Nodes whose output the last forward took from `overrides`.
+        self._injected: list[str] = []
         self.last_audit: list[tuple[str, tuple[int, ...]]] = []
 
     # -- introspection -------------------------------------------------
@@ -291,6 +295,7 @@ class Model:
         x = self._to_batch(x)
         n = x.shape[0]
         self._cache = {}
+        self._injected = []
         out: dict[str, np.ndarray] = {"input": x}
         audit: list[tuple[str, tuple[int, ...]]] = []
         for node in self.nodes:
@@ -304,6 +309,7 @@ class Model:
                     raise ShapeError(
                         f"override for {node.name!r} has shape {y.shape}"
                     )
+                self._injected.append(node.name)
             elif node.op == "block":
                 y = node.block.forward(out[node.inputs[0]], training, rng, grad)
             elif node.op == "slice":
@@ -329,6 +335,11 @@ class Model:
         """Backpropagate from the final output; returns d(input)."""
         if not self._cache:
             raise StateError("backward needs a preceding forward pass with grad=True")
+        if self._injected:
+            raise StateError(
+                "backward cannot follow a forward with overrides; injected: "
+                + ", ".join(self._injected)
+            )
         dout = np.asarray(dout, dtype=self.cfg.dtype)
         rank = dout.ndim
         dout = _batched(dout)

@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from thermofuse import ShapeError, ValidationError
 from thermofuse import metrics
@@ -143,3 +148,52 @@ def test_score_triple_fields():
     assert triple.mse == metrics.mse(a, b)
     # uint8 inputs are accepted and promoted
     assert metrics.score_triple(a.astype(np.uint8), b.astype(np.uint8)) == triple
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("score", [metrics.ssim, metrics.ssim_map, metrics.cossim,
+                                   metrics.mse, metrics.score_triple])
+def test_non_finite_images_are_rejected(score, bad):
+    good = np.full((16, 16), 100.0)
+    spoiled = good.copy()
+    spoiled[7, 3] = bad
+    with pytest.raises(ValidationError, match="first image"):
+        score(spoiled, good)
+    with pytest.raises(ValidationError, match="second image"):
+        score(good, spoiled)
+
+
+def windowed_mean_direct(img, kernel):
+    """Each output is the 2-D kernel times its window, summed directly."""
+    windows = sliding_window_view(img, (kernel.size, kernel.size))
+    return np.einsum("ijkl,kl->ij", windows, np.outer(kernel, kernel))
+
+
+# Output extents below one band block, exactly one and two blocks, and
+# partial last blocks on either axis.
+@given(st.integers(11, 160), st.integers(11, 160), st.integers(0, 2**32 - 1))
+@example(11, 11, 0)
+@example(74, 138, 1)
+@example(75, 160, 2)
+@example(160, 12, 3)
+def test_banded_filter_matches_direct_window_sum(rows, cols, seed):
+    img = np.random.default_rng(seed).uniform(0.0, 65025.0, size=(rows, cols))
+    kernel = metrics.gaussian_kernel()
+    got = metrics._windowed_mean(img, kernel)
+    assert got.shape == (rows - 10, cols - 10)
+    np.testing.assert_allclose(got, windowed_mean_direct(img, kernel), rtol=1e-12, atol=0)
+
+
+def test_ssim_map_memory_is_a_few_planes():
+    # The windowed means allocate no copy of the windows: the traced peak
+    # is a handful of float64 planes (about 10 here), not 11 per plane.
+    rng = np.random.default_rng(31)
+    a = rng.integers(0, 256, size=(512, 512), dtype=np.uint8)
+    b = rng.integers(0, 256, size=(512, 512), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        metrics.ssim_map(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14 * a.size * 8

@@ -386,6 +386,33 @@ def test_no_grad_forward_with_overrides():
     assert np.array_equal(got, want)
 
 
+def test_backward_after_overrides_raises_before_any_layer(monkeypatch):
+    # The injected node's block did not run in the override pass, but its
+    # layers still hold the first pass's caches: a backward through them
+    # would hand out wrong gradients for the chain feeding it.
+    model = small_model()
+    rng = np.random.default_rng(11)
+    model.forward(rng.uniform(size=(32, 32)))
+    y = model.forward(
+        rng.uniform(size=(32, 32)), overrides={"hl1": np.full((16, 16, 1), 0.5)}
+    )
+    ran = []
+    block_backward = Block.backward
+
+    def spied(self, dout):
+        ran.append(self)
+        return block_backward(self, dout)
+
+    monkeypatch.setattr(Block, "backward", spied)
+    with pytest.raises(StateError, match="hl1"):
+        model.backward(np.ones_like(y))
+    assert ran == []
+    with pytest.raises(StateError):
+        model.gradients()
+    # the override pass's activations stay readable
+    assert np.all(model.activation("op1")[0, :16, 16:, 0] == 0.5)
+
+
 def test_no_grad_forward_keeps_nothing_for_backward():
     model = small_model()
     x = np.random.default_rng(10).uniform(size=(32, 32))

@@ -26,6 +26,7 @@ from .fusion import (
     RoiBox,
     as_gray8,
     build_training_target,
+    resample_windows,
     resize_bilinear,
     round_half_away,
 )
@@ -199,6 +200,12 @@ def random_crops(
     fully contain the box; sizes and positions are drawn uniformly per
     dimension. The target embeds only the generating box. Boxes too large
     for any valid window are skipped with a logged warning.
+
+    Per box, the `per_box` windows are drawn first (height, width, first
+    row, first column, in that order), and then all of them are resampled
+    in one `fusion.resample_windows` pass over the uint8 thermal image and
+    the box's target: the pairs are bit for bit those of one
+    `resize_bilinear` call per window and image, divided by 255.
     """
     if sample.optical is None:
         raise ValidationError(
@@ -225,7 +232,9 @@ def random_crops(
             )
             continue
         target = build_training_target(thermal, optical, [box])
-        for _ in range(per_box):
+        # Per window: first row, first column, height, width.
+        windows = np.empty((per_box, 4), dtype=np.intp)
+        for k in range(per_box):
             crop_h = int(rng.integers(min_h, height + 1))
             crop_w = int(rng.integers(min_w, width + 1))
             row_lo = max(0, box.x1 - crop_h + 1)
@@ -234,13 +243,14 @@ def random_crops(
             col_hi = min(box.y0, width - crop_w)
             r0 = int(rng.integers(row_lo, row_hi + 1))
             c0 = int(rng.integers(col_lo, col_hi + 1))
-            window = (slice(r0, r0 + crop_h), slice(c0, c0 + crop_w))
-            pairs.append(
-                TrainingPair(
-                    input=resize_bilinear(thermal[window], crop_size, crop_size) / 255.0,
-                    target=resize_bilinear(target[window], crop_size, crop_size) / 255.0,
-                )
-            )
+            windows[k] = r0, c0, crop_h, crop_w
+        rows, cols = windows[:, 0::2].T, windows[:, 1::2].T
+        inputs, targets = resample_windows(
+            (thermal, target), rows, cols, crop_size, crop_size
+        )
+        inputs /= 255.0
+        targets /= 255.0
+        pairs.extend(map(TrainingPair, inputs, targets))
     return pairs
 
 

@@ -1,9 +1,15 @@
-"""Averaging fusion, histogram equalization and training-target assembly.
+"""Averaging fusion, histogram equalization, training-target assembly and
+bilinear resampling.
 
 Images live in two forms: 8-bit grids (uint8, values 0-255) for I/O and
 real-valued unit grids ([0,1], float64) for the model, which casts them to
 its own dtype (float32 by default) and computes the mask in it. All 8-bit
 rounding uses round-half-away-from-zero so results are bit-reproducible.
+
+Bilinear resampling has one core, `resample_windows`: it resamples many
+windows of one or more same-extent images in one vectorized pass (the
+training crops of a box, in the thermal image and its target), and
+`resize_bilinear` is its one-window case.
 """
 
 from __future__ import annotations
@@ -159,28 +165,84 @@ def build_training_target(thermal, optical, boxes) -> np.ndarray:
 
 
 def resize_bilinear(img, out_height: int, out_width: int) -> np.ndarray:
-    """Bilinear resample with half-pixel-center sampling; returns float64."""
+    """Bilinear resample with half-pixel-center sampling; returns float64.
+
+    The one-window case of `resample_windows`. A uint8 image is read
+    as it is; any other is first converted to float64."""
     if out_height < 1 or out_width < 1:
         raise ShapeError(f"target extents must be positive, got {out_height}x{out_width}")
-    src = np.asarray(img, dtype=np.float64)
+    src = np.asarray(img)
+    if src.dtype != np.uint8:
+        src = np.asarray(src, dtype=np.float64)
     if src.ndim != 2:
         raise ShapeError(f"expected a 2-D image, got shape {src.shape}")
     if src.size == 0:
         raise ShapeError(f"empty image {src.shape}")
     h, w = src.shape
     if (h, w) == (out_height, out_width):
-        return src.copy()
-    ys = np.clip((np.arange(out_height) + 0.5) * (h / out_height) - 0.5, 0.0, h - 1.0)
-    xs = np.clip((np.arange(out_width) + 0.5) * (w / out_width) - 0.5, 0.0, w - 1.0)
-    y0 = np.floor(ys).astype(np.intp)
-    x0 = np.floor(xs).astype(np.intp)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0)[:, None]
-    wx = (xs - x0)[None, :]
-    top = src[np.ix_(y0, x0)] * (1.0 - wx) + src[np.ix_(y0, x1)] * wx
-    bottom = src[np.ix_(y1, x0)] * (1.0 - wx) + src[np.ix_(y1, x1)] * wx
-    return top * (1.0 - wy) + bottom * wy
+        return src.astype(np.float64)
+    return resample_windows([src], ([0], [h]), ([0], [w]), out_height, out_width)[0][0]
+
+
+def resample_windows(images, rows, cols, out_height: int, out_width: int) -> list:
+    """Bilinear resample of the same n windows of each of `images` (2-D
+    arrays of one extent); returns one float64 (n, out_height, out_width)
+    array per image.
+
+    `rows` and `cols` are (starts, extents) pairs of length-n integer
+    sequences: window k covers rows[0][k] .. rows[0][k] + rows[1][k] - 1,
+    and the same for columns; each must lie inside the images. Each window
+    is sampled at half-pixel centres, bit for bit as `resize_bilinear`
+    samples it on its own (a window of the output size comes back
+    unchanged). The sample positions are computed once for all windows and
+    images. The four corner values are gathered straight from each image
+    by flat index, so a uint8 image is never copied to float64 as a whole,
+    and the images are resampled one after the other, so the temporaries
+    stay at the size of one image's windows.
+    """
+    y0, y1, wy = (a[:, :, None] for a in _bilinear_taps(*rows, out_height))
+    x0, x1, wx = (a[:, None, :] for a in _bilinear_taps(*cols, out_width))
+    stride = np.shape(images[0])[1]
+    y0 *= stride
+    y1 *= stride
+    rest_x, rest_y = 1.0 - wx, 1.0 - wy
+    shape = (len(y0), out_height, out_width)
+    bottom = np.empty(shape)
+    # One 8-byte slot per output value: the flat index of each corner in
+    # turn, then the last corner's product.
+    scratch = np.empty(shape)
+    index = scratch.view(np.int64)
+
+    def corner(flat, row, col):
+        return flat.take(np.add(row, col, out=index))
+
+    out = []
+    for img in images:
+        flat = np.ravel(img)
+        # top = a(1 - wx) + b wx, bottom = c(1 - wx) + d wx, then
+        # top (1 - wy) + bottom wy: that expression's operations, in its
+        # order, with the products written into three buffers.
+        top = np.multiply(corner(flat, y0, x0), rest_x)
+        top += np.multiply(corner(flat, y0, x1), wx, out=bottom)
+        top *= rest_y
+        np.multiply(corner(flat, y1, x0), rest_x, out=bottom)
+        bottom += np.multiply(corner(flat, y1, x1), wx, out=scratch)
+        bottom *= wy
+        top += bottom
+        out.append(top)
+    return out
+
+
+def _bilinear_taps(starts, extents, out: int):
+    """Along one axis, each window's two source indices (absolute) and the
+    weight of the second, each (n, out): the half-pixel-centre position
+    (i + 0.5) * extent / out - 0.5, clipped to the window."""
+    extents = np.asarray(extents, dtype=np.intp)[:, None]
+    pos = np.clip((np.arange(out) + 0.5) * (extents / out) - 0.5, 0.0, extents - 1.0)
+    lo = np.floor(pos).astype(np.intp)
+    hi = np.minimum(lo + 1, extents - 1)
+    starts = np.asarray(starts, dtype=np.intp)[:, None]
+    return lo + starts, hi + starts, pos - lo
 
 
 def compute_mask(model, thermal) -> np.ndarray:

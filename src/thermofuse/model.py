@@ -145,6 +145,14 @@ class Block:
             dout = layer.backward(dout)
         return dout
 
+    def drop_caches(self) -> None:
+        """Let go of every layer's backward cache: for a forward that does
+        not run this block, so no cache of an earlier pass outlives it."""
+        for layer in self.layers:
+            for attr in ("_cache", "_mask", "_out"):
+                if hasattr(layer, attr):
+                    setattr(layer, attr, None)
+
     def stores(self):
         """Yield ('<node>/conv', conv) and ('<node>/bn', bn): the layers
         whose arrays make up the model's state, under their name prefix."""
@@ -184,9 +192,10 @@ class Model:
     ShapeError before it drops anything. A forward with `overrides` caches
     its activations, but its `backward` raises StateError naming the
     injected nodes before any layer runs: their blocks did not run in that
-    pass. `gradients()` hands the gradients over: the layers let go of
-    them, so they live only as long as the caller keeps the dict, and a
-    second call raises StateError until the next `backward`.
+    pass, and their layers drop any cache an earlier pass left.
+    `gradients()` hands the gradients over: the layers let go of them, so
+    they live only as long as the caller keeps the dict, and a second call
+    raises StateError until the next `backward`.
 
     `forward(..., grad=False)` is the gradient-free pass for inference: it
     returns the same output bit for bit and fills `last_audit`, but no
@@ -310,6 +319,8 @@ class Model:
                         f"override for {node.name!r} has shape {y.shape}"
                     )
                 self._injected.append(node.name)
+                if node.block is not None:
+                    node.block.drop_caches()
             elif node.op == "block":
                 y = node.block.forward(out[node.inputs[0]], training, rng, grad)
             elif node.op == "slice":

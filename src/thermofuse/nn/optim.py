@@ -20,9 +20,10 @@ import numpy as np
 
 from ..errors import StateError, ThermofuseError
 
-# Values per pass of the update loop: a chunk of p, g, m, v and the two
-# scratch rows stays in cache across the update's twelve ufunc passes.
-_CHUNK = 1 << 14
+# Bytes per scratch row, one chunk of the update loop: a chunk of p, g, m,
+# v and the two scratch rows stays in cache across the update's twelve
+# ufunc passes. 32 K float32 values or 16 K float64 values.
+_CHUNK_BYTES = 1 << 17
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -30,12 +31,14 @@ EPS = 1e-8
 
 
 class NonFiniteGradientError(ThermofuseError):
-    """Raised when an update is rejected because gradients contain NaN/inf."""
+    """Raised when an update is rejected because gradients contain NaN/inf.
 
-    def __init__(self, blocks: list[str]):
+    `where`, if given, says which update it was (" at epoch 1, ...")."""
+
+    def __init__(self, blocks: list[str], where: str = ""):
         self.blocks = blocks
         super().__init__(
-            "update rejected, non-finite gradient in: " + ", ".join(blocks)
+            f"update rejected{where}, non-finite gradient in: " + ", ".join(blocks)
         )
 
 
@@ -45,7 +48,7 @@ class Adam:
         self.step_count = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
-        # Two rows of _CHUNK values: the temporaries of one chunk's update.
+        # Two rows of _CHUNK_BYTES: the temporaries of one chunk's update.
         self._scratch: np.ndarray | None = None
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
@@ -79,13 +82,16 @@ class Adam:
         for name, p in params.items():
             m = self.m.get(name)
             if m is None:
-                m = self.m[name] = np.zeros_like(p)
-                self.v[name] = np.zeros_like(p)
+                # np.zeros can take zeroed pages from the allocator (calloc);
+                # np.zeros_like writes every byte.
+                m = self.m[name] = np.zeros(p.shape, p.dtype)
+                self.v[name] = np.zeros(p.shape, p.dtype)
             if self._scratch is None or self._scratch.dtype != p.dtype:
-                self._scratch = np.empty((2, _CHUNK), dtype=p.dtype)
+                self._scratch = np.empty((2, _CHUNK_BYTES // p.itemsize), dtype=p.dtype)
+            chunk = self._scratch.shape[1]
             flat = [a.reshape(-1) for a in (p, grads[name], m, self.v[name])]
-            for lo in range(0, p.size, _CHUNK):
-                self._update(*(a[lo : lo + _CHUNK] for a in flat), c1, c2)
+            for lo in range(0, p.size, chunk):
+                self._update(*(a[lo : lo + chunk] for a in flat), c1, c2)
 
     def _update(self, p, g, m, v, c1, c2) -> None:
         """One chunk of the update, in the operation order of

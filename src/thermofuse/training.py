@@ -18,7 +18,7 @@ import numpy as np
 from .datakit import TrainingPair, random_crops
 from .errors import ValidationError
 from .model import Model, ModelConfig, build_model
-from .nn import Adam, logcosh_loss
+from .nn import Adam, NonFiniteGradientError, logcosh_loss
 
 log = logging.getLogger(__name__)
 
@@ -38,7 +38,11 @@ def train_from_pairs(
     loss_csv=None,
 ) -> tuple[Model, list[float]]:
     """Build a fresh model and train it, seeded from streams 0-2 of `seed`;
-    returns the model and the mean loss per epoch."""
+    returns the model and the mean loss per epoch.
+
+    An update rejected for a non-finite gradient raises
+    NonFiniteGradientError naming the epoch, the step and the indices in
+    `pairs` of that step's batch."""
     if not pairs:
         raise ValidationError("no training pairs")
     if epochs < 1 or batch_size < 1:
@@ -70,7 +74,13 @@ def train_from_pairs(
                     f"training loss is not finite at epoch {epoch}, step {step}"
                 )
             model.backward(dloss)
-            optimizer.step(params, model.gradients())
+            try:
+                optimizer.step(params, model.gradients())
+            except NonFiniteGradientError as exc:
+                chosen_pairs = ", ".join(str(i) for i in np.sort(chosen))
+                raise NonFiniteGradientError(
+                    exc.blocks, f" at epoch {epoch}, step {step} (pairs {chosen_pairs})"
+                ) from None
             total += loss * chosen.size
         epoch_losses.append(total / count)
         if epoch % log_every == 0:

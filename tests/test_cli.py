@@ -283,6 +283,29 @@ def test_train_overflowing_loss_is_error_two(tmp_path, capsys):
     assert not weights.exists() and not loss_csv.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_rejected_update_names_its_batch(tmp_path, capsys):
+    # An all-black image gives all-zero crops, whose gradient overflows:
+    # the error names the epoch, the step and the batch's pairs.
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("t.pgm", "o.pgm"):
+        write_pgm(np.zeros((64, 64), dtype=np.uint8), data / name)
+    annotations = data / "annotations.json"
+    annotations.write_text(json.dumps([{
+        "thermal": "t.pgm", "optical": "o.pgm",
+        "boxes": [{"x0": 10, "y0": 10, "x1": 20, "y1": 20, "class": 1}],
+    }]))
+    weights = tmp_path / "w.tofw"
+    rc = main(["train", str(annotations), "--out", str(weights), "--seed", "1",
+               "--epochs", "1", "--batch-size", "8", "--dwf", "1", "--crop-size", "32",
+               "--per-box", "8"])
+    assert_error_two(
+        rc, capsys, "update rejected at epoch 1, step 1 (pairs 0, 1, 2, 3, 4, 5, 6, 7)"
+    )
+    assert not weights.exists()
+
+
 def test_train_out_of_memory_is_error_two(tmp_path, capsys, monkeypatch):
     annotations = synth_one(tmp_path)
 

@@ -1,5 +1,6 @@
 import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from thermofuse.datakit import (
     write_annotations,
     write_pgm,
 )
-from thermofuse.fusion import CLASS_LABELS, RoiBox, build_training_target
+from thermofuse.fusion import CLASS_LABELS, RoiBox, build_training_target, resize_bilinear
 
 
 def test_pgm_round_trip(tmp_path):
@@ -264,6 +265,70 @@ def test_random_crops_deterministic():
     for pa, pb in zip(a, b):
         assert np.array_equal(pa.input, pb.input)
         assert np.array_equal(pa.target, pb.target)
+
+
+def per_window_crops(sample, per_box, rng, crop_size):
+    """`random_crops` as one `resize_bilinear` call per window and image,
+    with the same draws in the same order."""
+    height, width = sample.thermal.shape
+    pairs = []
+    for box in sample.boxes:
+        min_h, min_w = max(crop_size, box.height), max(crop_size, box.width)
+        target = build_training_target(sample.thermal, sample.optical, [box])
+        for _ in range(per_box):
+            crop_h = int(rng.integers(min_h, height + 1))
+            crop_w = int(rng.integers(min_w, width + 1))
+            r0 = int(rng.integers(max(0, box.x1 - crop_h + 1), min(box.x0, height - crop_h) + 1))
+            c0 = int(rng.integers(max(0, box.y1 - crop_w + 1), min(box.y0, width - crop_w) + 1))
+            window = (slice(r0, r0 + crop_h), slice(c0, c0 + crop_w))
+            pairs.append((
+                resize_bilinear(sample.thermal[window], crop_size, crop_size) / 255.0,
+                resize_bilinear(target[window], crop_size, crop_size) / 255.0,
+            ))
+    return pairs
+
+
+@given(st.data())
+def test_random_crops_equal_per_window_resize(data):
+    # The batched pass against one resize per window, bit for bit: boxes
+    # anywhere, boxes larger than the crop, windows equal to the crop.
+    crop = data.draw(st.integers(8, 64), label="crop")
+    # An image side equal to a crop of 32 or more forces that window side.
+    side = st.one_of(st.just(max(32, crop)), st.integers(max(32, crop), 200))
+    height = data.draw(side, label="height")
+    width = data.draw(side, label="width")
+    x0 = data.draw(st.integers(0, height - 1), label="x0")
+    y0 = data.draw(st.integers(0, width - 1), label="y0")
+    x1 = data.draw(st.integers(x0, height - 1), label="x1")
+    y1 = data.draw(st.integers(y0, width - 1), label="y1")
+    per_box = data.draw(st.integers(1, 8), label="per_box")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    sample = make_sample(height, width, RoiBox(x0, y0, x1, y1), seed=seed)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = random_crops(sample, per_box=per_box, rng=got_rng, crop_size=crop)
+    want = per_window_crops(sample, per_box, want_rng, crop)
+    assert len(got) == len(want) == per_box
+    for pair, (want_input, want_target) in zip(got, want):
+        assert pair.input.dtype == pair.target.dtype == np.float64
+        assert np.array_equal(pair.input, want_input)
+        assert np.array_equal(pair.target, want_target)
+    # The same draws: both streams stand at the same place.
+    assert got_rng.integers(2**62) == want_rng.integers(2**62)
+
+
+def test_random_crops_memory_peak():
+    # Gathers read the uint8 images by flat index, so besides the pairs
+    # only two float64 arrays the size of one image's windows are held.
+    sample = make_sample(256, 256, RoiBox(100, 110, 140, 150), seed=3)
+    tracemalloc.start()
+    try:
+        pairs = random_crops(sample, per_box=16, rng=np.random.default_rng(1), crop_size=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(p.input.nbytes + p.target.nbytes for p in pairs)
+    assert returned == 2 * 16 * 64 * 64 * 8
+    assert peak <= 2.5 * returned
 
 
 def test_synth_pairs_form_and_determinism():

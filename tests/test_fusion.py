@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from thermofuse import ShapeError, ValidationError
 from thermofuse import fusion, rof, wavelet
@@ -145,6 +147,7 @@ def test_resize_bilinear_identity_and_constants():
     img = rng.uniform(0, 255, size=(7, 9))
     same = fusion.resize_bilinear(img, 7, 9)
     assert np.allclose(same, img, atol=1e-12)
+    assert not np.shares_memory(same, img)
     up = fusion.resize_bilinear(np.full((3, 3), 42.0), 10, 6)
     assert np.allclose(up, 42.0)
     with pytest.raises(ShapeError):
@@ -164,6 +167,61 @@ def test_resize_bilinear_hand_case():
     # middle rows sit 1/4 and 3/4 of the way between the source rows
     assert np.allclose(out[:, 0], [0.0, 2.0, 6.0, 8.0])
     assert np.allclose(out[0, :], [0.0, 1.0, 3.0, 4.0])
+
+
+@given(st.data())
+def test_resample_windows_equal_resize_bilinear(data):
+    # Each window of the batched pass, bit for bit as resize_bilinear on
+    # that window alone, in every image; some windows equal the output size.
+    height = data.draw(st.integers(1, 60), label="height")
+    width = data.draw(st.integers(1, 60), label="width")
+    out_h = data.draw(st.integers(1, 40), label="out_h")
+    out_w = data.draw(st.integers(1, 40), label="out_w")
+    windows = data.draw(st.lists(st.tuples(
+        st.integers(0, height - 1), st.integers(0, width - 1),
+        st.integers(1, height), st.integers(1, width),
+    ), min_size=1, max_size=6), label="windows")
+    windows = [(r0, c0, min(h, height - r0), min(w, width - c0)) for r0, c0, h, w in windows]
+    if data.draw(st.booleans(), label="one window of the output size"):
+        out_h, out_w = windows[0][2], windows[0][3]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    images = (
+        rng.integers(0, 256, size=(height, width), dtype=np.uint8),
+        rng.uniform(-50.0, 300.0, size=(height, width)),
+    )
+    geometry = np.array(windows).T
+    outputs = fusion.resample_windows(images, geometry[0::2], geometry[1::2], out_h, out_w)
+    for image, out in zip(images, outputs):
+        assert out.dtype == np.float64 and out.shape == (len(windows), out_h, out_w)
+        for k, (r0, c0, h, w) in enumerate(windows):
+            want = fusion.resize_bilinear(image[r0 : r0 + h, c0 : c0 + w], out_h, out_w)
+            assert np.array_equal(out[k], want)
+
+
+def textbook_bilinear(img, out_height, out_width):
+    """The expression resize_bilinear evaluates, written out with np.ix_."""
+    src = np.asarray(img, dtype=np.float64)
+    h, w = src.shape
+    ys = np.clip((np.arange(out_height) + 0.5) * (h / out_height) - 0.5, 0.0, h - 1.0)
+    xs = np.clip((np.arange(out_width) + 0.5) * (w / out_width) - 0.5, 0.0, w - 1.0)
+    y0, x0 = np.floor(ys).astype(np.intp), np.floor(xs).astype(np.intp)
+    y1, x1 = np.minimum(y0 + 1, h - 1), np.minimum(x0 + 1, w - 1)
+    wy, wx = (ys - y0)[:, None], (xs - x0)[None, :]
+    top = src[np.ix_(y0, x0)] * (1.0 - wx) + src[np.ix_(y0, x1)] * wx
+    bottom = src[np.ix_(y1, x0)] * (1.0 - wx) + src[np.ix_(y1, x1)] * wx
+    return top * (1.0 - wy) + bottom * wy
+
+
+def test_resize_bilinear_operation_order_is_pinned():
+    # Output extents that are not powers of two give weights with many
+    # bits, so any other order of the operations rounds differently. The
+    # uint8 image, gathered as it is, gives the bits of its float64 copy.
+    rng = np.random.default_rng(14)
+    for img in (rng.integers(0, 256, size=(37, 53), dtype=np.uint8),
+                rng.uniform(-1.0, 1.0, size=(41, 19))):
+        for shape in ((23, 29), (60, 7), (3, 100), (37, 53)):
+            assert np.array_equal(fusion.resize_bilinear(img, *shape),
+                                  textbook_bilinear(img, *shape))
 
 
 def test_resize_bilinear_preserves_range():

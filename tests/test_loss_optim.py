@@ -6,7 +6,7 @@ import pytest
 
 from thermofuse import ShapeError, StateError
 from thermofuse.nn import Adam, NonFiniteGradientError, logcosh_loss
-from thermofuse.nn.optim import BETA1, BETA2, EPS
+from thermofuse.nn.optim import _CHUNK_BYTES, BETA1, BETA2, EPS
 from thermofuse.nn.gradcheck import gradient_check_fn
 
 
@@ -142,22 +142,27 @@ def reference_adam_step(opt, state, params, grads):
 
 
 def test_adam_in_place_matches_out_of_place_bitwise():
-    # Shapes below, at and across the update's chunk size, and a scalar.
-    rng = np.random.default_rng(45)
-    shapes = {"w": (3, 3, 5, 7), "b": (7,), "s": (), "big": (40000,), "m": (3, 16384)}
-    params = {k: rng.normal(size=s) for k, s in shapes.items()}
-    ref = {k: p.copy() for k, p in params.items()}
-    opt = Adam(lr=0.02)
-    state = {"t": 0, "m": {}, "v": {}}
-    for _ in range(30):
-        grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=s)
-                 for k, s in shapes.items()}
-        opt.step(params, grads)
-        reference_adam_step(opt, state, ref, grads)
-        for k in shapes:
-            assert np.array_equal(params[k], ref[k]), k
-            assert np.array_equal(opt.m[k], state["m"][k]), k
-            assert np.array_equal(opt.v[k], state["v"][k]), k
+    # Shapes below, at and across the update's chunk size (128 KB of
+    # values: 16 K float64 or 32 K float32), and a scalar, in each dtype.
+    for dtype in (np.float64, np.float32):
+        chunk = _CHUNK_BYTES // np.dtype(dtype).itemsize
+        rng = np.random.default_rng(45)
+        shapes = {"w": (3, 3, 5, 7), "b": (7,), "s": (), "at": (chunk,),
+                  "big": (2 * chunk + 7232,), "m": (3, chunk)}
+        params = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+        ref = {k: p.copy() for k, p in params.items()}
+        opt = Adam(lr=0.02)
+        state = {"t": 0, "m": {}, "v": {}}
+        for _ in range(30):
+            grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=s).astype(dtype)
+                     for k, s in shapes.items()}
+            opt.step(params, grads)
+            reference_adam_step(opt, state, ref, grads)
+            for k in shapes:
+                assert params[k].dtype == opt.m[k].dtype == opt.v[k].dtype == dtype
+                assert np.array_equal(params[k], ref[k]), (dtype, k)
+                assert np.array_equal(opt.m[k], state["m"][k]), (dtype, k)
+                assert np.array_equal(opt.v[k], state["v"][k]), (dtype, k)
 
 
 def test_adam_step_allocates_less_than_one_parameter():

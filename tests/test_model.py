@@ -387,9 +387,9 @@ def test_no_grad_forward_with_overrides():
 
 
 def test_backward_after_overrides_raises_before_any_layer(monkeypatch):
-    # The injected node's block did not run in the override pass, but its
-    # layers still hold the first pass's caches: a backward through them
-    # would hand out wrong gradients for the chain feeding it.
+    # The injected node's block did not run in the override pass: a
+    # backward through it would hand out wrong gradients for the chain
+    # feeding it, or run on no cache at all.
     model = small_model()
     rng = np.random.default_rng(11)
     model.forward(rng.uniform(size=(32, 32)))
@@ -411,6 +411,31 @@ def test_backward_after_overrides_raises_before_any_layer(monkeypatch):
         model.gradients()
     # the override pass's activations stay readable
     assert np.all(model.activation("op1")[0, :16, 16:, 0] == 0.5)
+
+
+@pytest.mark.parametrize("grad", [True, False])
+def test_override_forward_drops_the_injected_blocks_caches(grad):
+    # A grad=True pass fills every layer's cache; the override pass skips
+    # hl1's block, so its layers must let go of that pass's caches.
+    model = small_model()
+    rng = np.random.default_rng(15)
+    model.forward(rng.uniform(size=(32, 32)), training=True, rng=rng)
+    node = next(n for n in model.nodes if n.name == "hl1")
+    caches = lambda block: [
+        getattr(layer, attr)
+        for layer in block.layers
+        for attr in ("_cache", "_mask", "_out")
+        if hasattr(layer, attr)
+    ]
+    assert len(caches(node.block)) == len(node.block.layers)
+    assert all(c is not None for c in caches(node.block))
+    model.forward(
+        rng.uniform(size=(32, 32)), overrides={"hl1": np.full((16, 16, 1), 0.5)},
+        grad=grad,
+    )
+    assert all(c is None for c in caches(node.block))
+    others = [n.block for n in model.nodes if n.block is not None and n is not node]
+    assert all(c is not None for b in others for c in caches(b)) == grad
 
 
 def test_no_grad_forward_keeps_nothing_for_backward():

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 
 import numpy as np
@@ -7,6 +8,7 @@ from thermofuse import ValidationError
 from thermofuse.datakit import AnnotatedSample, TrainingPair, random_crops, synth_pairs
 from thermofuse.fusion import RoiBox
 from thermofuse.model import ModelConfig, save_weights
+from thermofuse.nn import NonFiniteGradientError
 from thermofuse.training import crop_pairs, train_from_pairs, write_loss_csv
 
 CFG = ModelConfig(dwf=1, height=32, width=32)
@@ -95,6 +97,23 @@ def test_write_loss_csv_formats_full_precision(tmp_path):
     assert body == "epoch,loss\n1,0.30000000000000004\n2,1e-17\n3,3.0\n"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_rejected_update_names_its_batch():
+    # All-zero inputs make every batch-norm layer divide by sqrt(BN_EPS),
+    # so the gradient overflows on its way back and step 1's update is
+    # rejected. The error names the pairs of that batch, so that they can
+    # be dropped: step 1 trains the first half of stream 1's permutation.
+    zero = np.zeros((32, 32))
+    pairs = [TrainingPair(zero, np.full((32, 32), 0.2)) for _ in range(8)]
+    with pytest.raises(NonFiniteGradientError) as err:
+        train_from_pairs(CFG, pairs, epochs=1, batch_size=4, seed=3)
+    shuffle = np.random.default_rng(np.random.SeedSequence(3).spawn(4)[1])
+    first = ", ".join(str(i) for i in sorted(shuffle.permutation(8)[:4]))
+    message = str(err.value)
+    assert message.startswith(f"update rejected at epoch 1, step 1 (pairs {first}), ")
+    assert err.value.blocks and all(name in message for name in err.value.blocks)
+
+
 def test_crop_pairs_draw_from_stream_three():
     samples = synth_pairs(3, 128, np.random.default_rng(2))
     samples.insert(1, AnnotatedSample(samples[0].thermal, None, samples[0].boxes))
@@ -108,6 +127,27 @@ def test_crop_pairs_draw_from_stream_three():
     for got, want in zip(pairs, expected):
         assert np.array_equal(got.input, want.input)
         assert np.array_equal(got.target, want.target)
+
+
+@pytest.mark.parametrize(
+    "count, extent, per_box, crop, digest",
+    [
+        (8, 128, 8, 32, "4eb45d6144f2248994f007e2666822e26cde3151843c834185cb509227574306"),
+        (4, 192, 1, 128, "6437e70a397163cfc5ae649fcd8cfdb41ca5000861df3b3e024170ba2361083e"),
+    ],
+)
+def test_crop_pairs_bytes_are_pinned(count, extent, per_box, crop, digest):
+    # The bytes of every pair, recorded before the crops were resampled
+    # per box: any change to the crop path that moves a bit fails here.
+    samples = synth_pairs(count, extent, np.random.default_rng(77))
+    pairs = crop_pairs(samples, seed=5, per_box=per_box, crop_size=crop)
+    h = hashlib.sha256()
+    for pair in pairs:
+        assert pair.input.dtype == pair.target.dtype == np.float64
+        assert pair.input.shape == pair.target.shape == (crop, crop)
+        h.update(pair.input.tobytes())
+        h.update(pair.target.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_crop_pairs_errors():

@@ -275,10 +275,3 @@ def compute_mask(model, thermal) -> np.ndarray:
     if resample:
         mask = np.clip(resize_bilinear(mask, height, width), 0.0, 1.0)
     return mask
-
-
-def full_pipeline(thermal, model) -> np.ndarray:
-    """Thermal image -> equalized fused output: mask, average, equalize."""
-    t = as_gray8(thermal)
-    mask = to_uint8(compute_mask(model, t))
-    return histogram_equalize(average_fuse(t, mask))

@@ -1,4 +1,4 @@
-"""Wavelet-structured encoder/decoder network: builder, runner, weights file.
+"""Wavelet-structured encoder/decoder network: table, runner, weights file.
 
 The architecture has three sections. An input encoder/decoder compresses the
 thermal image through five stride-2 stages and decodes back to half
@@ -8,7 +8,9 @@ mirroring a two-level DWT), runs each detail plane through a small
 encoder/decoder, and tiles all outputs into the classic quadrant layout at
 full resolution (`op1`). An output encoder/decoder then refines `op1` with
 skip concatenations from the four input-encoder stages and ends in a
-single-channel stride-1 convolution with sigmoid activation.
+single-channel stride-1 convolution with sigmoid activation. The graph is
+written as one table (`_rows`), a row per node, which one loop turns into
+the model's nodes and blocks.
 
 Blocks follow a fixed internal order: convolution, activation, then optional
 batch normalization and optional dropout. Detail/encoder blocks use leaky
@@ -415,76 +417,107 @@ def _unbatched(y: np.ndarray, rank: int) -> np.ndarray:
     return y
 
 
-class _Builder:
-    def __init__(self, rng, dtype):
-        self.rng = rng
-        self.dtype = dtype
-        self.nodes = [Node("input", "input")]
-        self.channels = {"input": 1}
+def _rows(dwf: int) -> list[tuple]:
+    """The network as a table: one row per node, in graph order, which is
+    also the order in which `build_model` draws the weights.
 
-    def block(self, name, kind, src, filters, dropout=True, normalization=True,
-              label=None):
-        blk = Block(
-            name, kind, self.channels[src], filters, self.rng,
-            dropout=dropout, normalization=normalization, dtype=self.dtype,
-        )
-        # label=None -> audit row under the node's own name; "" -> unlabelled.
-        table_label = name if label is None else (label or None)
-        self.nodes.append(
-            Node(name, "block", (src,), block=blk, table_label=table_label)
-        )
-        self.channels[name] = filters
-        return name
-
-    def slices(self, src, names):
-        if self.channels[src] != len(names):
-            raise StateError(
-                f"{src!r} has {self.channels[src]} channels, cannot slice "
-                f"into {len(names)} planes"
-            )
-        for i, plane in enumerate(names):
-            label = ", ".join(names) if i == len(names) - 1 else None
-            self.nodes.append(
-                Node(plane, "slice", (src,), channel=i, table_label=label)
-            )
-            self.channels[plane] = 1
-
-    def concat(self, name, a, b, axis, label=None):
-        self.nodes.append(
-            Node(name, "concat", (a, b), axis=axis,
-                 table_label=name if label is None else label)
-        )
-        if axis == 3:
-            self.channels[name] = self.channels[a] + self.channels[b]
-        else:
-            if self.channels[a] != self.channels[b]:
-                raise StateError(
-                    f"spatial concat of {a!r} and {b!r} needs matching depths"
-                )
-            self.channels[name] = self.channels[a]
-        return name
-
-    def enc_dec(self, name, src, dwf):
-        """Detail-plane encoder/decoder: same/half/half/same then mirrored
-        transpose decode, ending at a single channel."""
-        chain = [
-            ("same", dwf, True, True),
-            ("half", dwf * 4, True, True),
-            ("half", dwf * 16, True, True),
-            ("same", dwf * 64, True, True),
-            ("double", dwf * 16, True, True),
-            ("double", dwf * 4, False, True),
-            ("same", 1, False, False),
+    A row is (name, op, inputs, arg, dropout, norm, label). `op` is a block
+    kind (see `_BLOCK_KINDS`), "slice" or "concat"; `inputs` is a source
+    name, or a pair of them for a concat. `arg` is a block's filter count, a
+    slice's channel or a concat's axis (1 rows, 2 columns, 3 channels).
+    `dropout` and `norm` say whether a block ends in dropout and batch norm;
+    `label` is the node's row in the shape audit, or None for no row.
+    """
+    rows = [
+        # Input encoder: five stride-2 stages down to extent/32, then decode
+        # back up to half resolution with a slice-ready depth.
+        ("inp", "same", "input", dwf, False, False, "inp"),
+        ("d0", "half", "inp", dwf * 4, True, True, "d0"),
+        ("d1", "half", "d0", dwf * 16, True, True, "d1"),
+        ("d2", "half", "d1", dwf * 64, True, True, "d2"),
+        ("d3", "half", "d2", dwf * 128, True, True, "d3"),
+        ("d4", "half", "d3", dwf * 256, True, True, "d4"),
+        ("d5", "double", "d4", dwf * 128, True, True, "d5"),
+        ("d6", "double", "d5", dwf * 64, True, True, "d6"),
+        ("d7", "same", "d6", dwf * 64, True, True, "d7"),
+        ("d8", "double", "d7", dwf * 16, True, True, "d8"),
+        ("d9", "double", "d8", dwf * 4, True, True, "d9"),
+        ("d10", "same", "d9", SUBBANDS, True, True, "d10"),
+        # Wavelet-layout section. First-level planes at extent/2.
+        ("ca1", "slice", "d10", 0, False, False, None),
+        ("ch1", "slice", "d10", 1, False, False, None),
+        ("cv1", "slice", "d10", 2, False, False, None),
+        ("cd1", "slice", "d10", 3, False, False, "ca1, ch1, cv1, cd1"),
+        ("ll1_blk0", "ll", "ca1", dwf, True, True, "ll1"),
+        ("ll1_blk1", "ll", "ll1_blk0", dwf * 4, True, True, "ll1"),
+        ("ll1_blk2", "ll", "ll1_blk1", dwf * 16, True, True, "ll1"),
+        ("ll1_blk3", "ll", "ll1_blk2", dwf * 32, True, True, "ll1"),
+        ("ll1_blk4", "half", "ll1_blk3", dwf * 64, True, True, "ll1"),
+        ("ll1_blk5", "same", "ll1_blk4", dwf * 16, True, True, "ll1"),
+        ("ll1_blk6", "same", "ll1_blk5", dwf * 4, True, True, "ll1"),
+        ("ll1_blk7", "same", "ll1_blk6", SUBBANDS, True, True, "ll1"),
+        # Second-level planes at extent/4.
+        ("ca2", "slice", "ll1_blk7", 0, False, False, None),
+        ("ch2", "slice", "ll1_blk7", 1, False, False, None),
+        ("cv2", "slice", "ll1_blk7", 2, False, False, None),
+        ("cd2", "slice", "ll1_blk7", 3, False, False, "ca2, ch2, cv2, cd2"),
+        ("ll2_blk0", "ll", "ca2", dwf, True, True, "ll2"),
+        ("ll2_blk1", "ll", "ll2_blk0", dwf * 4, True, True, "ll2"),
+        ("ll2_blk2", "ll", "ll2_blk1", dwf * 16, True, True, "ll2"),
+        ("ll2_blk3", "ll", "ll2_blk2", dwf * 64, True, True, "ll2"),
+        ("ll2_blk4", "ll", "ll2_blk3", dwf * 16, True, True, "ll2"),
+        ("ll2_blk5", "ll", "ll2_blk4", dwf * 4, False, True, "ll2"),
+        ("ll2_blk6", "ll", "ll2_blk5", 1, False, False, "ll2"),
+    ]
+    # Each detail plane runs through its own encoder/decoder: same/half/
+    # half/same, then a mirrored transpose decode to a single channel. Only
+    # the last block, named after the plane's band, has an audit row.
+    enc_dec = [
+        ("same", dwf, True, True),
+        ("half", dwf * 4, True, True),
+        ("half", dwf * 16, True, True),
+        ("same", dwf * 64, True, True),
+        ("double", dwf * 16, True, True),
+        ("double", dwf * 4, False, True),
+        ("same", 1, False, False),
+    ]
+    for band, plane in (("hl2", "ch2"), ("lh2", "cv2"), ("hh2", "cd2"),
+                        ("hl1", "ch1"), ("lh1", "cv1"), ("hh1", "cd1")):
+        names = [f"{band}_{i}" for i in range(len(enc_dec) - 1)] + [band]
+        rows += [
+            (name, kind, src, filters, dropout, norm, band if name == band else None)
+            for name, src, (kind, filters, dropout, norm)
+            in zip(names, [plane] + names, enc_dec)
         ]
-        prev = src
-        for i, (kind, filters, drop, norm) in enumerate(chain):
-            last = i == len(chain) - 1
-            prev = self.block(
-                name if last else f"{name}_{i}",
-                kind, prev, filters, dropout=drop, normalization=norm,
-                label=name if last else "",
-            )
-        return prev
+    rows += [
+        # Tile the seven single-channel planes into the quadrant layout:
+        # approximation top-left, details right/below/diagonal, level 2
+        # nested inside the level-1 approximation slot.
+        ("ll2_1", "concat", ("ll2_blk6", "hl2"), 2, False, False, "ll2_1"),
+        ("ll2_2", "concat", ("lh2", "hh2"), 2, False, False, "ll2_2"),
+        ("ll1_tile", "concat", ("ll2_1", "ll2_2"), 1, False, False, "ll1"),
+        ("a", "concat", ("ll1_tile", "hl1"), 2, False, False, "a"),
+        ("b", "concat", ("lh1", "hh1"), 2, False, False, "b"),
+        ("op1", "concat", ("a", "b"), 1, False, False, "op1"),
+        # Output encoder/decoder with skip concatenations from the input
+        # encoder.
+        ("op2_0", "same", "op1", dwf * 4, True, True, "op2"),
+        ("op2_1", "half", "op2_0", dwf * 16, True, True, "op2"),
+        ("op2_2", "concat", ("op2_1", "d0"), 3, False, False, "op2"),
+        ("op2_3", "half", "op2_2", dwf * 64, True, True, "op2"),
+        ("op2_4", "concat", ("op2_3", "d1"), 3, False, False, "op2"),
+        ("op2_5", "half", "op2_4", dwf * 128, True, True, "op2"),
+        ("op2_6", "concat", ("op2_5", "d2"), 3, False, False, "op2"),
+        ("op2_7", "half", "op2_6", dwf * 256, True, True, "op2"),
+        ("op2_8", "concat", ("op2_7", "d3"), 3, False, False, "op2"),
+        ("op2_9", "same", "op2_8", dwf * 256, True, True, "op2"),
+        ("op2_10", "double", "op2_9", dwf * 128, True, True, "op2"),
+        ("op2_11", "double", "op2_10", dwf * 64, True, True, "op2"),
+        ("op2_12", "double", "op2_11", dwf * 16, True, True, "op2"),
+        ("op2_13", "double", "op2_12", dwf * 4, False, True, "op2"),
+        ("output", "final", "op2_13", 1, False, False, "output"),
+    ]
+    return rows
 
 
 def build_model(cfg: ModelConfig | None = None, seed=0) -> Model:
@@ -496,94 +529,24 @@ def build_model(cfg: ModelConfig | None = None, seed=0) -> Model:
 
 
 def _assemble(cfg: ModelConfig, rng) -> Model:
-    """The network graph for `cfg`; convolution weights are drawn from
-    `rng`, or start at zero when it is None."""
-    dwf = cfg.dwf
-    g = _Builder(rng, cfg.dtype)
-
-    # Input encoder: five stride-2 stages down to extent/32, then decode
-    # back up to half resolution with a slice-ready depth.
-    g.block("inp", "same", "input", dwf, dropout=False, normalization=False)
-    g.block("d0", "half", "inp", dwf * 4)
-    g.block("d1", "half", "d0", dwf * 16)
-    g.block("d2", "half", "d1", dwf * 64)
-    g.block("d3", "half", "d2", dwf * 128)
-    g.block("d4", "half", "d3", dwf * 256)
-    g.block("d5", "double", "d4", dwf * 128)
-    g.block("d6", "double", "d5", dwf * 64)
-    g.block("d7", "same", "d6", dwf * 64)
-    g.block("d8", "double", "d7", dwf * 16)
-    g.block("d9", "double", "d8", dwf * 4)
-    g.block("d10", "same", "d9", SUBBANDS)
-
-    # Wavelet-layout section. First-level planes at extent/2.
-    g.slices("d10", ("ca1", "ch1", "cv1", "cd1"))
-    ll1 = "ca1"
-    ll1_chain = [
-        ("ll", dwf, True, True),
-        ("ll", dwf * 4, True, True),
-        ("ll", dwf * 16, True, True),
-        ("ll", dwf * 32, True, True),
-        ("half", dwf * 64, True, True),
-        ("same", dwf * 16, True, True),
-        ("same", dwf * 4, True, True),
-        ("same", SUBBANDS, True, True),
-    ]
-    for i, (kind, filters, drop, norm) in enumerate(ll1_chain):
-        ll1 = g.block(f"ll1_blk{i}", kind, ll1, filters,
-                      dropout=drop, normalization=norm, label="ll1")
-
-    # Second-level planes at extent/4.
-    g.slices(ll1, ("ca2", "ch2", "cv2", "cd2"))
-    ll2 = "ca2"
-    ll2_chain = [
-        ("ll", dwf, True, True),
-        ("ll", dwf * 4, True, True),
-        ("ll", dwf * 16, True, True),
-        ("ll", dwf * 64, True, True),
-        ("ll", dwf * 16, True, True),
-        ("ll", dwf * 4, False, True),
-        ("ll", 1, False, False),
-    ]
-    for i, (kind, filters, drop, norm) in enumerate(ll2_chain):
-        ll2 = g.block(f"ll2_blk{i}", kind, ll2, filters,
-                      dropout=drop, normalization=norm, label="ll2")
-
-    g.enc_dec("hl2", "ch2", dwf)
-    g.enc_dec("lh2", "cv2", dwf)
-    g.enc_dec("hh2", "cd2", dwf)
-    g.enc_dec("hl1", "ch1", dwf)
-    g.enc_dec("lh1", "cv1", dwf)
-    g.enc_dec("hh1", "cd1", dwf)
-
-    # Tile the seven single-channel planes into the quadrant layout:
-    # approximation top-left, details right/below/diagonal, level 2 nested
-    # inside the level-1 approximation slot.
-    g.concat("ll2_1", ll2, "hl2", axis=2)
-    g.concat("ll2_2", "lh2", "hh2", axis=2)
-    g.concat("ll1_tile", "ll2_1", "ll2_2", axis=1, label="ll1")
-    g.concat("a", "ll1_tile", "hl1", axis=2)
-    g.concat("b", "lh1", "hh1", axis=2)
-    g.concat("op1", "a", "b", axis=1)
-
-    # Output encoder/decoder with skip concatenations from the input encoder.
-    g.block("op2_0", "same", "op1", dwf * 4, label="op2")
-    g.block("op2_1", "half", "op2_0", dwf * 16, label="op2")
-    g.concat("op2_2", "op2_1", "d0", axis=3, label="op2")
-    g.block("op2_3", "half", "op2_2", dwf * 64, label="op2")
-    g.concat("op2_4", "op2_3", "d1", axis=3, label="op2")
-    g.block("op2_5", "half", "op2_4", dwf * 128, label="op2")
-    g.concat("op2_6", "op2_5", "d2", axis=3, label="op2")
-    g.block("op2_7", "half", "op2_6", dwf * 256, label="op2")
-    g.concat("op2_8", "op2_7", "d3", axis=3, label="op2")
-    g.block("op2_9", "same", "op2_8", dwf * 256, label="op2")
-    g.block("op2_10", "double", "op2_9", dwf * 128, label="op2")
-    g.block("op2_11", "double", "op2_10", dwf * 64, label="op2")
-    g.block("op2_12", "double", "op2_11", dwf * 16, label="op2")
-    g.block("op2_13", "double", "op2_12", dwf * 4, dropout=False, label="op2")
-    g.block("output", "final", "op2_13", 1, dropout=False, normalization=False)
-
-    return Model(cfg, g.nodes)
+    """The network graph for `cfg`, row by row of `_rows`; convolution
+    weights are drawn from `rng`, or start at zero when it is None."""
+    nodes = [Node("input", "input")]
+    channels = {"input": 1}
+    for name, op, inputs, arg, dropout, norm, label in _rows(cfg.dwf):
+        inputs = (inputs,) if isinstance(inputs, str) else inputs
+        if op == "slice":
+            nodes.append(Node(name, op, inputs, channel=arg, table_label=label))
+            channels[name] = 1
+        elif op == "concat":
+            nodes.append(Node(name, op, inputs, axis=arg, table_label=label))
+            a, b = inputs
+            channels[name] = channels[a] + channels[b] if arg == 3 else channels[a]
+        else:
+            block = Block(name, op, channels[inputs[0]], arg, rng, dropout, norm, cfg.dtype)
+            nodes.append(Node(name, "block", inputs, block=block, table_label=label))
+            channels[name] = arg
+    return Model(cfg, nodes)
 
 
 # -- weights file ------------------------------------------------------
@@ -647,21 +610,6 @@ def _walk_weights(fh) -> dict[str, tuple[tuple[int, ...], int]]:
     if fh.tell() != size:
         raise FormatError("trailing bytes after last tensor")
     return index
-
-
-def read_weights_file(path) -> dict[str, np.ndarray]:
-    """Parse a weights file into name -> float32 array, order preserved.
-
-    The arrays are read-only views of the file's bytes, not copies.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return {
-        name: np.frombuffer(
-            data, dtype="<f4", count=math.prod(shape), offset=offset
-        ).reshape(shape)
-        for name, (shape, offset) in _walk_weights(io.BytesIO(data)).items()
-    }
 
 
 def load_weights(path, extents: tuple[int, int] | None = None) -> Model:

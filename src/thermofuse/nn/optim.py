@@ -50,6 +50,8 @@ class Adam:
         self.v: dict[str, np.ndarray] = {}
         # Two rows of _CHUNK_BYTES: the temporaries of one chunk's update.
         self._scratch: np.ndarray | None = None
+        # One bool row of _CHUNK_BYTES values for the finiteness check.
+        self._flags = np.empty(_CHUNK_BYTES, dtype=bool)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         """Update `params` in place from `grads` (matching keys required).
@@ -69,7 +71,7 @@ class Adam:
         ]
         if mismatch:
             raise StateError("gradients do not match the parameters: " + "; ".join(mismatch))
-        bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
+        bad = [name for name, g in grads.items() if not self._finite(g)]
         if bad:
             raise NonFiniteGradientError(bad)
         loose = [name for name, p in params.items() if not p.flags.c_contiguous]
@@ -92,6 +94,16 @@ class Adam:
             flat = [a.reshape(-1) for a in (p, grads[name], m, self.v[name])]
             for lo in range(0, p.size, chunk):
                 self._update(*(a[lo : lo + chunk] for a in flat), c1, c2)
+
+    def _finite(self, g) -> bool:
+        """Whether every value of `g` is finite, checked chunk by chunk into
+        a bool scratch row, so no bool array the size of `g` is made."""
+        flat = np.ravel(g)
+        for lo in range(0, flat.size, _CHUNK_BYTES):
+            part = flat[lo : lo + _CHUNK_BYTES]
+            if not np.isfinite(part, out=self._flags[: part.size]).all():
+                return False
+        return True
 
     def _update(self, p, g, m, v, c1, c2) -> None:
         """One chunk of the update, in the operation order of

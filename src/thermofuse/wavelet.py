@@ -122,29 +122,15 @@ def tile_layout(pyr: SubbandPyramid) -> np.ndarray:
     return np.block([[ll1_tile, lv1.hl], [lv1.lh, lv1.hh]])
 
 
-def untile_layout(plane) -> SubbandPyramid:
-    """Invert :func:`tile_layout`, recovering the pyramid bit-exactly."""
-    x = _check_plane(plane)
-    n = x.shape[0]
-    if x.shape[1] != n or n % 4:
-        raise ShapeError(f"tiled plane must be square with extent % 4 == 0, got {x.shape}")
-    h = n // 2
-    q = n // 4
-    lv1 = DetailBands(
-        lh=x[h:, :h].copy(), hl=x[:h, h:].copy(), hh=x[h:, h:].copy()
-    )
-    lv2 = DetailBands(
-        lh=x[q:h, :q].copy(), hl=x[:q, q:h].copy(), hh=x[q:h, q:h].copy()
-    )
-    return SubbandPyramid(levels=2, ll=x[:q, :q].copy(), details=[lv1, lv2])
-
-
 def write_coeff_plane(plane, path) -> None:
-    """Dump a coefficient plane: u32le height, u32le width, f64le row-major."""
+    """Dump a coefficient plane: u32le height, u32le width, f64le row-major.
+
+    A C-contiguous little-endian float64 plane is written from its own
+    buffer; only another layout, dtype or byte order is converted first."""
     x = _check_plane(plane)
     with open(path, "wb") as fh:
         fh.write(struct.pack("<II", x.shape[0], x.shape[1]))
-        fh.write(x.astype("<f8").tobytes(order="C"))
+        fh.write(np.ascontiguousarray(x, dtype="<f8"))
 
 
 def read_coeff_plane(path) -> np.ndarray:

@@ -3,7 +3,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermofuse import ThermofuseError
@@ -491,3 +491,129 @@ def test_degenerate_images_exit_cleanly(tmp_path, capsys, shape):
             assert rc == (0 if shape == "flat" else 2)
         assert "Traceback" not in err
         assert (rc == 2) == err.startswith("error:")
+
+
+# -- argv fuzz -----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Small valid and corrupt inputs of every kind the CLI reads, and an
+    output directory: name -> path."""
+    from thermofuse.datakit import AnnotatedSample, synth_pairs, write_annotations
+    from thermofuse.model import ModelConfig, build_model, save_weights
+
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(91)
+    out = root / "out"
+    out.mkdir()
+    files = {"out": out, "out_file": out / "o.pgm", "out_dir": out / "d",
+             "out_tofw": out / "w.tofw", "out_csv": out / "loss.csv",
+             "missing": root / "missing" / "x"}
+    for name, shape in (("pgm", (32, 32)), ("odd_pgm", (40, 48)), ("tiny_pgm", (5, 3))):
+        files[name] = root / f"{name}.pgm"
+        write_pgm(rng.integers(0, 256, size=shape, dtype=np.uint8), files[name])
+    files["bad_pgm"] = root / "bad.pgm"
+    files["bad_pgm"].write_bytes(b"P5\n32 32\n255\n" + bytes(100))
+    # One sample with one box, so a training run is a few steps at most.
+    sample = synth_pairs(1, 128, rng)[0]
+    write_annotations([AnnotatedSample(sample.thermal, sample.optical, sample.boxes[:1])],
+                      root / "data")
+    files["ann"] = root / "data" / "annotations.json"
+    write_annotations([AnnotatedSample(sample.thermal, None, sample.boxes[:1])], root / "thermal")
+    files["unregistered_ann"] = root / "thermal" / "annotations.json"
+    files["bad_ann"] = root / "bad.json"
+    files["bad_ann"].write_text('[{"thermal": 3, "boxes": [{"x0": "a"}]}]')
+    files["tofw"] = root / "w.tofw"
+    save_weights(build_model(ModelConfig(dwf=1, height=32, width=32), seed=4), files["tofw"])
+    files["bad_tofw"] = root / "bad.tofw"
+    files["bad_tofw"].write_bytes(files["tofw"].read_bytes()[:5000])
+    files["cfg"] = root / "run.cfg"
+    files["cfg"].write_text("# small run\nseed=3\nepochs=1\nlr=0.01\n")
+    files["bad_cfg"] = root / "bad.cfg"
+    files["bad_cfg"].write_text("epochs\ndwf=x\n")
+    files["binary_cfg"] = root / "binary.cfg"
+    files["binary_cfg"].write_bytes(b"\xff\xfe=\x00")
+    return files
+
+
+def _mostly(valid, *bad):
+    """One of `bad`, or twice as often `valid`, so some argvs run all the way."""
+    return st.sampled_from([valid] * (2 * len(bad)) + list(bad))
+
+
+def _sizes(valid):
+    """A size flag's value: never large, since a large size allocates before
+    it is checked against the machine."""
+    return _mostly(str(valid), "-1", "0", "1", "2", "x", "nan")
+
+
+def _argv(files):
+    """Strategy: an argv for one subcommand with each flag present or not,
+    taking its value from small valid and corrupt choices."""
+
+    def paths(valid, *bad):
+        return _mostly(*(str(files[k]) for k in (valid, *bad)))
+
+    pgms = paths("pgm", "odd_pgm", "tiny_pgm", "bad_pgm", "missing", "tofw")
+    # File outputs, and the output directories of dwt and synth, which make
+    # any missing directory they are given: so they get no file path.
+    outs = paths("out_file", "out", "missing")
+    dirs = paths("out_dir", "out", "pgm")
+
+    def flags(*pairs, always=()):
+        """Each (flag, values) pair gives [flag, value], or [flag] for a
+        switch (values None), or, one time in four, []. A positional
+        argument (no leading --) and a flag in `always` (the required
+        ones, say) are always given."""
+        parts = []
+        for flag, values in pairs:
+            optional = flag.startswith("--") and flag not in always
+            given_ = st.sampled_from([True, True, True, False] if optional else [True])
+            words = st.just([flag]) if values is None else values.map(
+                lambda v, f=flag: [f, v] if f.startswith("--") else [v])
+            parts.append(st.tuples(given_, words).map(lambda t: t[1] if t[0] else []))
+        return st.tuples(*parts).map(lambda groups: sum(groups, []))
+
+    # Every train size flag is always given: a default size is a full run.
+    sizes = {"--epochs": 1, "--dwf": 1, "--crop-size": 32, "--per-box": 1, "--batch-size": 2}
+    commands = {
+        "dwt": flags(("image", pgms), ("--out", dirs),
+                     ("--levels", _mostly("2", "1", "3", "x")), always={"--out"}),
+        "synth": flags(("--count", _sizes(1)), ("--extent", _sizes(128)),
+                       ("--seed", _mostly("4", "-1", "x")), ("--out", dirs),
+                       always={"--count", "--seed", "--out"}),
+        "train": flags(
+            ("annotations", paths("ann", "unregistered_ann", "bad_ann", "pgm", "missing")),
+            ("--out", paths("out_tofw", "out", "missing")),
+            ("--config", paths("cfg", "bad_cfg", "binary_cfg", "pgm", "missing")),
+            ("--seed", _mostly("5", "-1", "x")),
+            ("--lr", _mostly("0.01", "-1", "0", "nan", "inf", "x")),
+            ("--loss-csv", paths("out_csv", "missing")),
+            *((flag, _sizes(valid)) for flag, valid in sizes.items()),
+            always={"--out", *sizes},
+        ),
+        "infer": flags(("weights", paths("tofw", "bad_tofw", "pgm", "cfg", "missing")),
+                       ("image", pgms), ("--out", outs), always={"--out"}),
+        "fuse": flags(("--thermal", pgms), ("--mask", pgms), ("--out", outs),
+                      ("--he", None), always={"--thermal", "--mask", "--out"}),
+        "rof": flags(("--thermal", pgms), ("--fused", pgms),
+                     ("--metric", _mostly("ssd", "ssim", "x")),
+                     ("--out-box", outs), ("--draw", outs),
+                     always={"--thermal", "--fused"}),
+        "metrics": flags(("--a", pgms), ("--b", pgms), ("--thermal", pgms),
+                         ("--visual", pgms), ("--output", pgms)),
+    }
+    return st.sampled_from(sorted(commands)).flatmap(
+        lambda command: commands[command].map(lambda rest: [command] + rest)
+    )
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_cli_argv_fuzz_exits_cleanly(fuzz_files, capsys, data):
+    argv = data.draw(_argv(fuzz_files))
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, (argv, err)

@@ -251,7 +251,10 @@ def test_compute_mask_and_full_pipeline():
     assert mask_odd.shape == (48, 40)
     assert mask_odd.min() >= 0.0 and mask_odd.max() <= 1.0
 
-    fused = fusion.full_pipeline(thermal, model)
+    # the whole chain of public calls, as `infer` then `fuse --he` runs it
+    fused = fusion.histogram_equalize(
+        fusion.average_fuse(thermal, fusion.to_uint8(mask))
+    )
     assert fused.shape == (32, 32)
     assert fused.dtype == np.uint8
 
@@ -270,7 +273,6 @@ def test_empty_images_are_shape_errors(shape):
         lambda e: fusion.build_training_target(e, e, []),
         lambda e: fusion.resize_bilinear(e.astype(np.float64), 4, 4),
         lambda e: fusion.compute_mask(model, e),
-        lambda e: fusion.full_pipeline(e, model),
         lambda e: rof.compute_rof(e, e),
         lambda e: wavelet.rescale_for_display(e.astype(np.float64)),
     ):

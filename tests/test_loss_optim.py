@@ -181,6 +181,45 @@ def test_adam_step_allocates_less_than_one_parameter():
     assert peak < params["w"].nbytes
 
 
+def test_adam_finiteness_check_allocates_less_than_one_bool_gradient():
+    # A per-tensor np.isfinite(g).all() made a bool array of the largest
+    # gradient: one byte per value.
+    rng = np.random.default_rng(47)
+    params = {"w": rng.normal(size=(3, 3, 256, 256)).astype(np.float32),
+              "b": np.zeros(256, dtype=np.float32)}
+    grads = {k: rng.normal(size=p.shape).astype(np.float32) for k, p in params.items()}
+    opt = Adam()
+    opt.step(params, grads)  # allocates m, v and the scratch rows
+    tracemalloc.start()
+    try:
+        opt.step(params, grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grads["w"].size
+
+
+def test_adam_rejects_non_finite_past_the_first_chunk_and_keeps_state():
+    # Values past the first bool scratch row of the check are checked too,
+    # every bad tensor is named in order, and nothing changes.
+    n = 2 * _CHUNK_BYTES + 5
+    rng = np.random.default_rng(48)
+    params = {k: rng.normal(size=n) for k in ("a", "b", "c")}
+    opt = Adam()
+    opt.step(params, {k: rng.normal(size=n) for k in params})
+    before = {k: (p.copy(), opt.m[k].copy(), opt.v[k].copy()) for k, p in params.items()}
+    grads = {k: rng.normal(size=n) for k in params}
+    grads["a"][-1] = np.nan
+    grads["c"][_CHUNK_BYTES + 1] = -np.inf
+    with pytest.raises(NonFiniteGradientError) as err:
+        opt.step(params, grads)
+    assert err.value.blocks == ["a", "c"]
+    assert opt.step_count == 1
+    for k, (p, m, v) in before.items():
+        assert np.array_equal(params[k], p)
+        assert np.array_equal(opt.m[k], m) and np.array_equal(opt.v[k], v)
+
+
 def test_adam_rejects_non_contiguous_parameters_and_keeps_state():
     # A flat view of a strided parameter would be a copy, losing the update.
     p = np.zeros(3)

@@ -14,7 +14,6 @@ from thermofuse.model import (
     ModelConfig,
     build_model,
     load_weights,
-    read_weights_file,
     save_weights,
 )
 from thermofuse.nn import (
@@ -719,19 +718,19 @@ def test_read_weights_file_corruption(tmp_path):
 
     bad.write_bytes(b"XXXX" + data[4:])
     with pytest.raises(FormatError, match="magic"):
-        read_weights_file(bad)
+        load_weights(bad)
 
     bad.write_bytes(data[:4] + struct.pack("<I", 9) + data[8:])
     with pytest.raises(FormatError, match="version"):
-        read_weights_file(bad)
+        load_weights(bad)
 
     bad.write_bytes(data[: len(data) // 2])
     with pytest.raises(FormatError):
-        read_weights_file(bad)
+        load_weights(bad)
 
     bad.write_bytes(data + b"\x00")
     with pytest.raises(FormatError):
-        read_weights_file(bad)
+        load_weights(bad)
 
 
 def test_read_weights_file_huge_extents(tmp_path):
@@ -740,7 +739,7 @@ def test_read_weights_file_huge_extents(tmp_path):
     header = b"TOFW" + struct.pack("<II", 1, 1) + struct.pack("<H", 1) + b"x"
     path.write_bytes(header + struct.pack("<B8I", 8, *[0xFFFFFFFF] * 8) + bytes(16))
     with pytest.raises(FormatError, match="truncated"):
-        read_weights_file(path)
+        load_weights(path)
 
 
 def test_read_weights_file_name_not_utf8(tmp_path):
@@ -748,26 +747,15 @@ def test_read_weights_file_name_not_utf8(tmp_path):
     header = b"TOFW" + struct.pack("<II", 1, 1) + struct.pack("<H", 2) + b"\xff\xfe"
     path.write_bytes(header + struct.pack("<BI", 1, 1) + bytes(4))
     with pytest.raises(FormatError, match="UTF-8"):
-        read_weights_file(path)
-
-
-def test_read_weights_file_yields_float32_views(tmp_path):
-    model = small_model()
-    path = tmp_path / "w.tofw"
-    save_weights(model, path)
-    tensors = read_weights_file(path)
-    for name, arr in model.state_items():
-        got = tensors[name]
-        assert got.dtype == np.float32 and not got.flags.writeable
-        assert np.array_equal(got, arr.astype(np.float32))
+        load_weights(path)
 
 
 def test_read_weights_file_duplicate_name(tmp_path):
     t = np.ones((2, 2), dtype=np.float32)
     path = tmp_path / "dup.tofw"
     path.write_bytes(pack_weights([("x", t), ("x", t)]))
-    with pytest.raises(FormatError):
-        read_weights_file(path)
+    with pytest.raises(FormatError, match="duplicate"):
+        load_weights(path)
 
 
 def test_load_rejects_wrong_tensor_set(tmp_path, monkeypatch):
@@ -806,13 +794,10 @@ SMALL_FILE = pack_weights(
 )
 
 
-def parses_or_format_error(path, data: bytes):
+def format_error_on_load(path, data: bytes):
+    # Not the model's tensor set, so a load fails however far the walk of
+    # the headers gets, and it fails with a FormatError.
     path.write_bytes(data)
-    try:
-        read_weights_file(path)
-    except FormatError:
-        pass
-    # Not the model's tensor set, so a load fails whatever the parse did.
     with pytest.raises(FormatError):
         load_weights(path, extents=(32, 32))
 
@@ -824,15 +809,13 @@ def parses_or_format_error(path, data: bytes):
     )
 )
 def test_read_weights_file_arbitrary_bytes(tmp_path, data):
-    parses_or_format_error(tmp_path / "fuzz.tofw", data)
+    format_error_on_load(tmp_path / "fuzz.tofw", data)
 
 
 @given(st.integers(0, len(SMALL_FILE) - 1))
 def test_read_weights_file_truncations(tmp_path, length):
     path = tmp_path / "cut.tofw"
     path.write_bytes(SMALL_FILE[:length])
-    with pytest.raises(FormatError):
-        read_weights_file(path)
     with pytest.raises(FormatError):
         load_weights(path, extents=(32, 32))
 
@@ -841,7 +824,7 @@ def test_read_weights_file_truncations(tmp_path, length):
 def test_read_weights_file_single_byte_edits(tmp_path, index, value):
     data = bytearray(SMALL_FILE)
     data[index] = value
-    parses_or_format_error(tmp_path / "edit.tofw", bytes(data))
+    format_error_on_load(tmp_path / "edit.tofw", bytes(data))
 
 
 # -- streamed loading --------------------------------------------------
@@ -850,19 +833,22 @@ def test_read_weights_file_single_byte_edits(tmp_path, index, value):
 @functools.cache
 def model_file():
     """A saved dwf=1 model (the smallest real architecture) with -0.0, NaN,
-    infinite and subnormal payload values, and the offsets of its header
-    bytes (everything but the float32 payloads)."""
+    infinite and subnormal payload values: the file's bytes, the offsets of
+    its header bytes (everything but the float32 payloads), and each
+    tensor's (name, float32 array, offset of its payload)."""
     entries = [(name, arr.copy()) for name, arr in small_model(seed=6).state_items()]
     odd = np.array([-0.0, np.nan, -np.inf, np.inf, 1e-45], dtype=np.float32)
     entries[0][1].reshape(-1)[: odd.size] = odd
     blob = pack_weights(entries)
-    headers, pos = list(range(12)), 12
+    headers, payloads, pos = list(range(12)), [], 12
     for name, arr in entries:
         size = 2 + len(name.encode("utf-8")) + 1 + 4 * arr.ndim
         headers += range(pos, pos + size)
-        pos += size + 4 * arr.size
+        pos += size
+        payloads.append((name, arr, pos))
+        pos += arr.nbytes
     assert pos == len(blob)
-    return blob, headers
+    return blob, headers, payloads
 
 
 def load_or_format_error(path, monkeypatch):
@@ -889,14 +875,15 @@ def load_or_format_error(path, monkeypatch):
 
 
 def test_load_copies_every_payload_bit_for_bit(tmp_path):
+    # Compared with the arrays of the model that wrote the file, so -0.0,
+    # NaN, the infinities and the subnormal must all come back unchanged.
+    blob, _, payloads = model_file()
     path = tmp_path / "w.tofw"
-    path.write_bytes(model_file()[0])
-    views = read_weights_file(path)
-    loaded = load_weights(path, extents=(32, 32))
-    items = loaded.state_items()
-    assert [name for name, _ in items] == list(views)
-    for name, arr in items:
-        assert arr.astype("<f4").tobytes() == views[name].tobytes(), name
+    path.write_bytes(blob)
+    items = load_weights(path, extents=(32, 32)).state_items()
+    assert [name for name, _ in items] == [name for name, _, _ in payloads]
+    for (name, arr), (_, written, _) in zip(items, payloads):
+        assert arr.astype("<f4").tobytes() == written.astype("<f4").tobytes(), name
 
 
 def test_load_peak_is_about_the_model(tmp_path):
@@ -938,7 +925,7 @@ def test_save_writes_each_array_without_a_copy(tmp_path):
 
 @given(st.data())
 def test_load_weights_truncations(tmp_path, monkeypatch, data):
-    blob, headers = model_file()
+    blob, headers, _ = model_file()
     length = data.draw(
         st.one_of(st.sampled_from(headers), st.integers(0, len(blob) - 1))
     )
@@ -949,7 +936,7 @@ def test_load_weights_truncations(tmp_path, monkeypatch, data):
 
 @given(st.data(), st.integers(0, 255))
 def test_load_weights_single_byte_edits(tmp_path, monkeypatch, data, value):
-    blob, headers = model_file()
+    blob, headers, payloads = model_file()
     index = data.draw(st.one_of(st.sampled_from(headers), st.integers(0, len(blob) - 1)))
     edited = bytearray(blob)
     edited[index] = value
@@ -957,6 +944,6 @@ def test_load_weights_single_byte_edits(tmp_path, monkeypatch, data, value):
     path.write_bytes(bytes(edited))
     loaded = load_or_format_error(path, monkeypatch)
     if loaded is not None:  # an edit that leaves a valid file loads it
-        views = read_weights_file(path)
-        for name, arr in loaded.state_items():
-            assert arr.astype("<f4").tobytes() == views[name].tobytes(), name
+        for (name, arr), (_, written, offset) in zip(loaded.state_items(), payloads):
+            want = edited[offset : offset + written.nbytes]
+            assert arr.astype("<f4").tobytes() == want, name

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,7 +98,7 @@ def test_forward_shape_validation():
         wavelet.dwt2_forward(np.ones((8, 8, 1)), levels=1)
 
 
-def test_tile_untile_round_trip():
+def test_tile_layout_places_quadrants():
     rng = np.random.default_rng(21)
     x = rng.normal(size=(16, 16))
     pyr = wavelet.dwt2_forward(x, levels=2)
@@ -112,14 +113,6 @@ def test_tile_untile_round_trip():
     assert np.array_equal(plane[8:, :8], pyr.details[0].lh)
     assert np.array_equal(plane[8:, 8:], pyr.details[0].hh)
 
-    back = wavelet.untile_layout(plane)
-    assert np.array_equal(back.ll, pyr.ll)
-    for got, want in zip(back.details, pyr.details):
-        assert np.array_equal(got.lh, want.lh)
-        assert np.array_equal(got.hl, want.hl)
-        assert np.array_equal(got.hh, want.hh)
-    assert np.abs(wavelet.dwt2_inverse(back) - x).max() < 1e-12
-
 
 def test_tile_rejects_one_level_and_non_square():
     pyr = wavelet.dwt2_forward(np.ones((8, 8)), levels=1)
@@ -128,8 +121,6 @@ def test_tile_rejects_one_level_and_non_square():
     rect = wavelet.dwt2_forward(np.ones((8, 16)), levels=2)
     with pytest.raises(ShapeError):
         wavelet.tile_layout(rect)
-    with pytest.raises(ShapeError):
-        wavelet.untile_layout(np.ones((6, 6)))
 
 
 def test_coeff_plane_io(tmp_path):
@@ -140,6 +131,40 @@ def test_coeff_plane_io(tmp_path):
     assert path.stat().st_size == 8 + 8 * 5 * 9
     back = wavelet.read_coeff_plane(path)
     assert np.array_equal(back, plane)
+
+
+@pytest.mark.parametrize(
+    "layout",
+    ["float64", "fortran", "strided", "float32", "big-endian"],
+)
+def test_coeff_plane_bytes_do_not_depend_on_layout(tmp_path, layout):
+    # The file holds u32le extents and the plane as f64le, row-major,
+    # whatever the dtype, byte order or memory order of the array given.
+    plane = np.random.default_rng(3).normal(size=(6, 10))
+    given_plane = {
+        "float64": plane,
+        "fortran": np.asfortranarray(plane),
+        "strided": np.repeat(plane, 2, axis=1)[:, ::2],
+        "float32": plane.astype(np.float32),
+        "big-endian": plane.astype(">f8"),
+    }[layout]
+    path = tmp_path / "p.coef"
+    wavelet.write_coeff_plane(given_plane, path)
+    want = np.asarray(given_plane, dtype=np.float64)
+    assert path.stat().st_size == 8 + 8 * want.size
+    assert path.read_bytes() == struct.pack("<II", 6, 10) + want.astype("<f8").tobytes()
+    assert np.array_equal(wavelet.read_coeff_plane(path), want)
+
+
+def test_coeff_plane_write_makes_no_copy(tmp_path):
+    plane = np.random.default_rng(4).normal(size=(256, 256))
+    tracemalloc.start()
+    try:
+        wavelet.write_coeff_plane(plane, tmp_path / "p.coef")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * plane.nbytes
 
 
 def test_coeff_plane_read_errors(tmp_path):

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,43 +57,48 @@ class TrainingPair:
 # -- PGM ---------------------------------------------------------------
 
 
+# One header token and the whitespace and `#` comments before it. `\s` is
+# the six bytes `bytes.isspace` accepts; a comment runs to its newline or
+# to the end of the file. An empty group means the header stopped early.
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]*)")
+
+
 def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM ("P5", maxval 255) into a uint8 grid."""
-    data = Path(path).read_bytes()
-    pos = 0
+    """Read a binary PGM ("P5", maxval 255) into a uint8 grid.
 
-    def token() -> bytes:
-        nonlocal pos
-        while pos < len(data):
-            ch = data[pos : pos + 1]
-            if ch == b"#":
-                newline = data.find(b"\n", pos)
-                pos = len(data) if newline < 0 else newline + 1
-            elif ch.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            if data[pos : pos + 1] == b"#":
-                break
-            pos += 1
-        if start == pos:
-            raise FormatError("truncated PGM header")
-        return data[start:pos]
-
-    magic = token()
+    The header is four tokens, "P5", width, height and maxval, each after
+    any run of whitespace (space, tab, LF, CR, VT, FF) and `#` comments,
+    which reach to the end of their line. A token ends at whitespace or at
+    `#`; width, height and maxval are read by `int()`, one at a time as
+    the header is scanned, so a sign or an underscore between digits
+    passes. Exactly one whitespace byte follows maxval, then width x height
+    pixel bytes in row order; trailing bytes are ignored. Anything else is
+    a FormatError. The file is read in one call and its pixels copied once.
+    """
+    with open(os.fspath(path), "rb", buffering=0) as fh:
+        data = fh.readall()
+    token = _PGM_TOKEN.match(data)
+    magic = token[1]
+    if not magic:
+        raise FormatError("truncated PGM header")
     if magic != b"P5":
         raise FormatError(f"unsupported image magic {magic!r} (want binary P5)")
+    fields = []
     try:
-        width, height, maxval = (int(token()) for _ in range(3))
-    except ValueError as exc:
+        for _ in range(3):
+            token = _PGM_TOKEN.match(data, token.end())
+            if not token[1]:
+                raise FormatError("truncated PGM header")
+            fields.append(int(token[1]))
+    except ValueError as exc:  # a FormatError too: a truncation here is malformed
         raise FormatError(f"malformed PGM header: {exc}") from None
+    width, height, maxval = fields
     if width < 1 or height < 1:
         raise FormatError(f"invalid extents {width}x{height}")
     if maxval != 255:
         raise FormatError(f"unsupported maxval {maxval} (want 255)")
-    if pos >= len(data) or not data[pos : pos + 1].isspace():
+    pos = token.end()
+    if not data[pos : pos + 1].isspace():
         raise FormatError("missing whitespace after PGM maxval")
     pos += 1
     if len(data) - pos < width * height:
@@ -101,11 +108,15 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_pgm(img, path) -> None:
-    """Write a uint8 grid as binary PGM: "P5\\n<w> <h>\\n255\\n" + raw rows."""
-    arr = as_gray8(img)
+    """Write a uint8 grid as binary PGM: "P5\\n<w> <h>\\n255\\n" + raw rows.
+
+    The rows are written from the grid's own buffer; only a grid that is
+    not C-contiguous is copied first."""
+    arr = np.ascontiguousarray(as_gray8(img))
     height, width = arr.shape
-    header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + arr.tobytes())
+    with open(os.fspath(path), "wb") as fh:
+        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
+        fh.write(arr)
 
 
 # -- annotations -------------------------------------------------------
@@ -145,19 +156,19 @@ def read_annotations(path) -> list[AnnotatedSample]:
     samples = []
     for index, record in enumerate(records):
         try:
-            samples.append(_parse_record(record, path.parent))
+            samples.append(_parse_record(record, str(path.parent)))
         except (ThermofuseError, OSError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"annotation record {index}: {exc}") from exc
     return samples
 
 
-def _parse_record(record, base: Path) -> AnnotatedSample:
+def _parse_record(record, base: str) -> AnnotatedSample:
     if not isinstance(record, dict):
         raise ValueError("expected a JSON object")
     thermal_rel = record["thermal"]
     if not isinstance(thermal_rel, str):
         raise ValueError("'thermal' must be a path string")
-    thermal = read_pgm(base / thermal_rel)
+    thermal = read_pgm(os.path.join(base, thermal_rel))
     height, width = thermal.shape
 
     optical_rel = record.get("optical")
@@ -165,7 +176,7 @@ def _parse_record(record, base: Path) -> AnnotatedSample:
     if optical_rel is not None:
         if not isinstance(optical_rel, str):
             raise ValueError("'optical' must be a path string or null")
-        optical = read_pgm(base / optical_rel)
+        optical = read_pgm(os.path.join(base, optical_rel))
         if optical.shape != thermal.shape:
             raise ValueError(
                 f"optical extent {optical.shape} differs from thermal {thermal.shape}"

@@ -58,19 +58,12 @@ def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     return av, bv
 
 
-def mse(a, b) -> float:
-    av, bv = _as_pair(a, b)
+def _mse(av: np.ndarray, bv: np.ndarray) -> float:
     diff = av - bv
     return float(np.mean(diff * diff))
 
 
-def cossim(a, b) -> float:
-    """Cosine of the angle between the flattened intensity vectors.
-
-    Two zero images count as identical (1.0); exactly one zero image is
-    orthogonal to anything (0.0).
-    """
-    av, bv = _as_pair(a, b)
+def _cossim(av: np.ndarray, bv: np.ndarray) -> float:
     va = av.ravel()
     vb = bv.ravel()
     na = float(np.linalg.norm(va))
@@ -80,6 +73,19 @@ def cossim(a, b) -> float:
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(va @ vb) / (na * nb)
+
+
+def mse(a, b) -> float:
+    return _mse(*_as_pair(a, b))
+
+
+def cossim(a, b) -> float:
+    """Cosine of the angle between the flattened intensity vectors.
+
+    Two zero images count as identical (1.0); exactly one zero image is
+    orthogonal to anything (0.0).
+    """
+    return _cossim(*_as_pair(a, b))
 
 
 def gaussian_kernel(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
@@ -101,46 +107,79 @@ def _band_matrix(kernel: np.ndarray) -> np.ndarray:
     return band.reshape(-1)[: _BAND_ROWS * width].reshape(_BAND_ROWS, width)
 
 
-def _windowed_mean(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Valid-mode separable weighted mean over sliding windows.
+_BAND = _band_matrix(gaussian_kernel())
+_HALO = SSIM_WINDOW - 1
+
+
+def _windowed_mean(img: np.ndarray, out: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Valid-mode separable Gaussian-weighted mean over sliding windows of
+    an (h, w) image, into `out` (h - 10, w - 10) through the row pass
+    `rows` (h - 10, w).
 
     Each axis is filtered as banded matrix products over blocks of at most
     `_BAND_ROWS` outputs: one GEMM per block, no copy of the windows.
     """
-    band = _band_matrix(kernel)
-    halo = kernel.size - 1
-    rows_out = img.shape[0] - halo
-    cols_out = img.shape[1] - halo
-    rows = np.empty((rows_out, img.shape[1]))
+    rows_out, cols_out = out.shape
     for r in range(0, rows_out, _BAND_ROWS):
         m = min(_BAND_ROWS, rows_out - r)
-        np.matmul(band[:m, : m + halo], img[r : r + m + halo], out=rows[r : r + m])
-    out = np.empty((rows_out, cols_out))
+        np.matmul(_BAND[:m, : m + _HALO], img[r : r + m + _HALO], out=rows[r : r + m])
     for c in range(0, cols_out, _BAND_ROWS):
         m = min(_BAND_ROWS, cols_out - c)
-        np.matmul(rows[:, c : c + m + halo], band[:m, : m + halo].T, out=out[:, c : c + m])
+        np.matmul(rows[:, c : c + m + _HALO], _BAND[:m, : m + _HALO].T, out=out[:, c : c + m])
     return out
+
+
+def _ssim_map(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """SSIM map of a validated pair, (2 mu_a mu_b + c1)(2 cov + c2) /
+    ((mu_a^2 + mu_b^2 + c1)(var_a + var_b + c2)) in that operation order.
+
+    Every product goes to one of eight buffers made here. A loop that
+    scores image after image would otherwise make over thirty image-sized
+    temporaries per call, whose pages fault in again each time the
+    allocator has returned them to the system.
+    """
+    if min(av.shape) < SSIM_WINDOW:
+        raise ValidationError(
+            f"image {av.shape} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window"
+        )
+    c1 = (SSIM_K1 * DYNAMIC_RANGE) ** 2
+    c2 = (SSIM_K2 * DYNAMIC_RANGE) ** 2
+    shape = (av.shape[0] - _HALO, av.shape[1] - _HALO)
+    rows = np.empty((shape[0], av.shape[1]))
+    prod = np.empty_like(av)
+    mu_a, mu_b, var_a, var_b, sq_a, sq_b = (np.empty(shape) for _ in range(6))
+    _windowed_mean(av, mu_a, rows)
+    _windowed_mean(bv, mu_b, rows)
+    np.multiply(mu_a, mu_a, out=sq_a)
+    np.multiply(mu_b, mu_b, out=sq_b)
+    _windowed_mean(np.multiply(av, av, out=prod), var_a, rows)
+    var_a -= sq_a
+    _windowed_mean(np.multiply(bv, bv, out=prod), var_b, rows)
+    var_b -= sq_b
+    # denom = (mu_a^2 + mu_b^2 + c1) * (var_a + var_b + c2), into sq_a
+    sq_a += sq_b
+    sq_a += c1
+    var_a += var_b
+    var_a += c2
+    sq_a *= var_a
+    # cov = E[ab] - mu_a mu_b, into var_b; mu_a mu_b into sq_b
+    cov = _windowed_mean(np.multiply(av, bv, out=prod), var_b, rows)
+    cov -= np.multiply(mu_a, mu_b, out=sq_b)
+    # numer = (2 mu_a mu_b + c1) * (2 cov + c2), into mu_a
+    mu_a *= 2.0
+    mu_a *= mu_b
+    mu_a += c1
+    cov *= 2.0
+    cov += c2
+    mu_a *= cov
+    mu_a /= sq_a
+    return mu_a
 
 
 def ssim_map(a, b) -> np.ndarray:
     """Per-window SSIM: entry (i, j) scores the window whose top-left pixel
     is (i, j), so the map has (rows - 10) x (cols - 10) entries."""
-    av, bv = _as_pair(a, b)
-    if min(av.shape) < SSIM_WINDOW:
-        raise ValidationError(
-            f"image {av.shape} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window"
-        )
-    kernel = gaussian_kernel()
-    c1 = (SSIM_K1 * DYNAMIC_RANGE) ** 2
-    c2 = (SSIM_K2 * DYNAMIC_RANGE) ** 2
-    mu_a = _windowed_mean(av, kernel)
-    mu_b = _windowed_mean(bv, kernel)
-    var_a = _windowed_mean(av * av, kernel) - mu_a * mu_a
-    var_b = _windowed_mean(bv * bv, kernel) - mu_b * mu_b
-    cov = _windowed_mean(av * bv, kernel) - mu_a * mu_b
-    numer = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-    denom = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-    return numer / denom
+    return _ssim_map(*_as_pair(a, b))
 
 
 def ssim(a, b) -> float:
@@ -149,5 +188,8 @@ def ssim(a, b) -> float:
 
 
 def score_triple(a, b) -> ScoreTriple:
-    """All three scores for one image pair."""
-    return ScoreTriple(ssim=ssim(a, b), cossim=cossim(a, b), mse=mse(a, b))
+    """All three scores for one image pair, validated and converted once."""
+    av, bv = _as_pair(a, b)
+    return ScoreTriple(
+        ssim=float(np.mean(_ssim_map(av, bv))), cossim=_cossim(av, bv), mse=_mse(av, bv)
+    )

@@ -62,8 +62,11 @@ def _costs(thermal, fused, metric):
     if metric == "ssd":
         d = thermal.astype(np.int64) - fused
         return d * d, 0
-    dissim = 1.0 - ssim_map(thermal, fused)
-    return np.rint(dissim * _SSIM_SCALE).astype(np.int64), SSIM_WINDOW - 1
+    # rint((1 - SSIM) * scale), in place in the map `ssim_map` hands over
+    dissim = ssim_map(thermal, fused)
+    np.subtract(1.0, dissim, out=dissim)
+    dissim *= _SSIM_SCALE
+    return np.rint(dissim, out=dissim).astype(np.int64), SSIM_WINDOW - 1
 
 
 def _summed_area(values: np.ndarray) -> np.ndarray:

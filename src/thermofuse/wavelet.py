@@ -9,13 +9,14 @@ and two-level pyramids are supported.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
+from .errors import FormatError, ShapeError, ValidationError
 
 
 @dataclass
@@ -134,7 +135,8 @@ def write_coeff_plane(plane, path) -> None:
 
 
 def read_coeff_plane(path) -> np.ndarray:
-    """Read a plane written by :func:`write_coeff_plane`."""
+    """Read a plane written by :func:`write_coeff_plane`; the payload is
+    read straight into the returned array."""
     with open(path, "rb") as fh:
         head = fh.read(8)
         if len(head) != 8:
@@ -148,17 +150,23 @@ def read_coeff_plane(path) -> np.ndarray:
             raise FormatError(f"{path}: truncated coefficient payload")
         if left > 8 * h * w:
             raise FormatError(f"{path}: trailing bytes after coefficient payload")
-        payload = fh.read(left)
-    return np.frombuffer(payload, dtype="<f8").reshape(h, w).copy()
+        plane = np.empty((h, w), dtype="<f8")
+        if fh.readinto(plane) != left:
+            raise FormatError(f"{path}: truncated coefficient payload")
+    return plane
 
 
 def rescale_for_display(plane) -> np.ndarray:
-    """Affine-map a coefficient plane onto 0..255 uint8 for visualization."""
+    """Affine-map a coefficient plane onto 0..255 uint8 for visualization.
+
+    A plane holding NaN or inf raises ValidationError."""
     x = _check_plane(plane)
     if x.size == 0:
         raise ShapeError(f"empty plane {x.shape}")
-    lo = float(x.min())
+    lo = float(x.min())  # min and max are NaN if any value is
     hi = float(x.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError("coefficient plane has non-finite values")
     if hi <= lo:
         return np.zeros(x.shape, dtype=np.uint8)
     scaled = (x - lo) * (255.0 / (hi - lo))

@@ -1,6 +1,7 @@
 import json
 import logging
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +71,22 @@ def test_pgm_reader_rejects_malformed(tmp_path, payload):
     path.write_bytes(payload)
     with pytest.raises(FormatError):
         read_pgm(path)
+
+
+def test_write_pgm_writes_from_the_image_buffer(tmp_path):
+    img = np.random.default_rng(5).integers(0, 256, size=(512, 512), dtype=np.uint8)
+    path = tmp_path / "big.pgm"
+    tracemalloc.start()
+    try:
+        write_pgm(img, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.05 * img.nbytes
+    assert path.read_bytes() == b"P5\n512 512\n255\n" + img.tobytes()
+    # a grid that is not C-contiguous is written in row order
+    write_pgm(img.T, path)
+    assert np.array_equal(read_pgm(path), img.T)
 
 
 def test_write_pgm_requires_gray8(tmp_path):
@@ -395,6 +412,98 @@ def test_read_pgm_any_bytes(tmp_path, data):
     except ThermofuseError:
         return
     assert image.dtype == np.uint8 and image.ndim == 2 and image.size >= 1
+
+
+def read_pgm_reference(path) -> np.ndarray:
+    """The byte-at-a-time tokenizer `read_pgm` replaced, kept as the
+    reference for its grammar and its messages."""
+    data = Path(path).read_bytes()
+    pos = 0
+
+    def token() -> bytes:
+        nonlocal pos
+        while pos < len(data):
+            ch = data[pos : pos + 1]
+            if ch == b"#":
+                newline = data.find(b"\n", pos)
+                pos = len(data) if newline < 0 else newline + 1
+            elif ch.isspace():
+                pos += 1
+            else:
+                break
+        start = pos
+        while pos < len(data) and not data[pos : pos + 1].isspace():
+            if data[pos : pos + 1] == b"#":
+                break
+            pos += 1
+        if start == pos:
+            raise FormatError("truncated PGM header")
+        return data[start:pos]
+
+    magic = token()
+    if magic != b"P5":
+        raise FormatError(f"unsupported image magic {magic!r} (want binary P5)")
+    try:
+        width, height, maxval = (int(token()) for _ in range(3))
+    except ValueError as exc:
+        raise FormatError(f"malformed PGM header: {exc}") from None
+    if width < 1 or height < 1:
+        raise FormatError(f"invalid extents {width}x{height}")
+    if maxval != 255:
+        raise FormatError(f"unsupported maxval {maxval} (want 255)")
+    if pos >= len(data) or not data[pos : pos + 1].isspace():
+        raise FormatError("missing whitespace after PGM maxval")
+    pos += 1
+    if len(data) - pos < width * height:
+        raise FormatError("truncated PGM pixel data")
+    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
+    return pixels.reshape(height, width).copy()
+
+
+def outcome(reader, path):
+    """The image a reader returns, or its exception's type and message."""
+    try:
+        image = reader(path)
+    except Exception as exc:  # noqa: BLE001 - every outcome is compared
+        return type(exc), str(exc)
+    return image.dtype, image.shape, image.tobytes()
+
+
+# Header parts: every byte `bytes.isspace` accepts, comments that end at a
+# newline or at the end of the file, numbers with signs, underscores and
+# non-ASCII bytes, and tokens that are not numbers at all.
+PGM_SPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+PGM_COMMENT = st.tuples(
+    st.binary(max_size=6).map(lambda text: text.replace(b"\n", b"")), st.booleans()
+).map(lambda c: b"#" + c[0] + (b"\n" if c[1] else b""))
+PGM_GAP = st.lists(st.one_of(PGM_SPACE, PGM_COMMENT), max_size=3).map(b"".join)
+PGM_NUMBER = st.one_of(
+    st.integers(-2, 300).map(lambda n: str(n).encode()),
+    st.sampled_from([b"+3", b"-0", b"1_0", b"_1", b"2_", b"1__0", b"+-1", b"0x10",
+                     b"x", b"\xff", b"3\xe9", b"\xc2\xa0", b"\xd9\xa3"]),
+)
+PGM_HEADER = st.tuples(
+    PGM_GAP,
+    st.sampled_from([b"P5", b"P2", b"P6", b"P", b"P55"]),
+    st.lists(st.tuples(PGM_GAP, PGM_NUMBER).map(b"".join), max_size=4).map(b"".join),
+    PGM_GAP,
+    st.binary(max_size=12),
+).map(b"".join)
+
+
+@given(
+    st.one_of(
+        PGM_HEADER,
+        st.integers(0, len(VALID_PGM)).map(lambda n: VALID_PGM[:n]),
+    )
+)
+def test_read_pgm_matches_the_reference_tokenizer(tmp_path, data):
+    # The same array, or the same exception type and message, byte for byte.
+    # Extents are converted as they are scanned, so "P5 x" is a malformed
+    # number, not a truncated header.
+    path = tmp_path / "fuzz.pgm"
+    path.write_bytes(data)
+    assert outcome(read_pgm, path) == outcome(read_pgm_reference, path)
 
 
 COORDINATE = st.one_of(

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from thermofuse import ShapeError, ValidationError
-from thermofuse import metrics
+from thermofuse import datakit, fusion, metrics, rof
 
 
 def gaussian_2d(size=11, sigma=1.5):
@@ -179,8 +180,8 @@ def windowed_mean_direct(img, kernel):
 def test_banded_filter_matches_direct_window_sum(rows, cols, seed):
     img = np.random.default_rng(seed).uniform(0.0, 65025.0, size=(rows, cols))
     kernel = metrics.gaussian_kernel()
-    got = metrics._windowed_mean(img, kernel)
-    assert got.shape == (rows - 10, cols - 10)
+    out, scratch = np.empty((rows - 10, cols - 10)), np.empty((rows - 10, cols))
+    got = metrics._windowed_mean(img, out, scratch)
     np.testing.assert_allclose(got, windowed_mean_direct(img, kernel), rtol=1e-12, atol=0)
 
 
@@ -197,3 +198,52 @@ def test_ssim_map_memory_is_a_few_planes():
     finally:
         tracemalloc.stop()
     assert peak <= 14 * a.size * 8
+
+
+def test_ssim_map_keeps_nothing_after_a_call():
+    # The scores hold no state: after a 512^2 call only the returned map
+    # stays allocated.
+    rng = np.random.default_rng(32)
+    a = rng.integers(0, 256, size=(512, 512), dtype=np.uint8)
+    b = rng.integers(0, 256, size=(512, 512), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        smap = metrics.ssim_map(a, b)
+        metrics.score_triple(a, b)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current <= 1.05 * smap.nbytes
+
+
+# Recorded before `score_triple` converted its pair once, `rof._costs`
+# worked in place and the SSIM map reused its buffers: the "ssim" RoF
+# lines, the three scores and the SSIM maps of the postprocess chain over
+# 64 synthetic pairs, and of noisy pairs at odd extents, hashed.
+PIPELINE_DIGEST = "114136551fa5709731bd478196824d1e2cd5ab45e88e166f923f44d12e318e3a"
+ODD_EXTENT_DIGEST = "2a49e491c17367110bfbdc46c9d816e57afc691b58c6ebe5576a3c0125d1e278"
+
+
+def test_ssim_bits_are_pinned():
+    h = hashlib.sha256()
+    for count, extent, seed in ((32, 128, 501), (32, 256, 502)):
+        for sample in datakit.synth_pairs(count, extent, np.random.default_rng(seed)):
+            t = sample.thermal
+            f = fusion.histogram_equalize(fusion.average_fuse(t, sample.optical))
+            box = rof.compute_rof(t, f, "ssim")
+            s = metrics.score_triple(t, f)
+            line = f"{box.text_line()} {s.ssim.hex()} {s.cossim.hex()} {s.mse.hex()}\n"
+            h.update(line.encode())
+            h.update(metrics.ssim_map(t, f).tobytes())
+    assert h.hexdigest() == PIPELINE_DIGEST
+
+    rng = np.random.default_rng(7)
+    h = hashlib.sha256()
+    for shape in [(11, 11), (11, 40), (12, 75), (74, 138), (75, 160), (97, 131),
+                  (128, 128), (139, 201), (256, 256)]:
+        a = rng.integers(0, 256, shape).astype(np.float64)
+        b = np.clip(a + rng.normal(0, 20, shape), 0, 255)
+        h.update(metrics.ssim_map(a, b).tobytes())
+        h.update(metrics.ssim_map(b, a).tobytes())
+        h.update(f"{metrics.score_triple(a, b)}".encode())
+    assert h.hexdigest() == ODD_EXTENT_DIGEST

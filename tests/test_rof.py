@@ -74,9 +74,9 @@ def windowed_mean_calls(monkeypatch):
     calls = []
     windowed_mean = metrics._windowed_mean
 
-    def counted(img, kernel):
+    def counted(img, out, rows):
         calls.append(img.shape)
-        return windowed_mean(img, kernel)
+        return windowed_mean(img, out, rows)
 
     monkeypatch.setattr(metrics, "_windowed_mean", counted)
     return calls

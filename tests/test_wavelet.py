@@ -1,12 +1,13 @@
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from thermofuse import FormatError, ShapeError, ThermofuseError
+from thermofuse import FormatError, ShapeError, ThermofuseError, ValidationError
 from thermofuse import wavelet
 
 
@@ -167,6 +168,32 @@ def test_coeff_plane_write_makes_no_copy(tmp_path):
     assert peak < 0.05 * plane.nbytes
 
 
+def test_coeff_plane_read_goes_straight_into_the_array(tmp_path):
+    plane = np.random.default_rng(5).normal(size=(256, 256))
+    path = tmp_path / "p.coef"
+    wavelet.write_coeff_plane(plane, path)
+    tracemalloc.start()
+    try:
+        back = wavelet.read_coeff_plane(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * plane.nbytes
+    assert back.dtype == np.float64 and back.flags.writeable
+    assert np.array_equal(back.view(np.uint64), plane.view(np.uint64))
+
+
+def test_coeff_plane_short_read_is_a_format_error(tmp_path, monkeypatch):
+    # The file shrinks between the size check and the read.
+    path = tmp_path / "p.coef"
+    wavelet.write_coeff_plane(np.ones((3, 3)), path)
+    path.write_bytes(path.read_bytes()[:-8])
+    claimed = SimpleNamespace(st_size=8 + 8 * 9)
+    monkeypatch.setattr(wavelet, "os", SimpleNamespace(fstat=lambda fd: claimed))
+    with pytest.raises(FormatError, match="truncated coefficient payload"):
+        wavelet.read_coeff_plane(path)
+
+
 def test_coeff_plane_read_errors(tmp_path):
     path = tmp_path / "p.coef"
     wavelet.write_coeff_plane(np.ones((3, 3)), path)
@@ -229,3 +256,11 @@ def test_rescale_for_display():
     assert np.array_equal(
         wavelet.rescale_for_display(np.full((2, 2), 3.0)), np.zeros((2, 2), np.uint8)
     )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rescale_for_display_rejects_non_finite(bad):
+    plane = np.array([[-1.0, 0.0], [1.0, 3.0]])
+    plane[0, 1] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        wavelet.rescale_for_display(plane)

@@ -208,6 +208,7 @@ def cmd_fuse(args) -> int:
     from .datakit import read_pgm, write_pgm
     from .fusion import average_fuse, histogram_equalize
 
+    _check_output_file(args.out)
     fused = average_fuse(read_pgm(args.thermal), read_pgm(args.mask))
     if args.he:
         fused = histogram_equalize(fused)
@@ -217,17 +218,19 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_rof(args) -> int:
-    from pathlib import Path
-
     from .datakit import read_pgm, write_pgm
+    from .files import write_file
     from .rof import compute_rof, draw_box
 
+    for path in (args.out_box, args.draw):
+        if path:
+            _check_output_file(path)
     fused = read_pgm(args.fused)
     box = compute_rof(read_pgm(args.thermal), fused, metric=args.metric)
     line = box.text_line()
     print(line)
     if args.out_box:
-        Path(args.out_box).write_text(line + "\n", encoding="ascii")
+        write_file(args.out_box, ((line + "\n").encode("ascii"),))
     if args.draw:
         write_pgm(draw_box(fused, box), args.draw)
     return 0

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ThermofuseError, ValidationError
+from .files import write_file
 from .fusion import (
     RoiBox,
     as_gray8,
@@ -108,15 +109,14 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_pgm(img, path) -> None:
-    """Write a uint8 grid as binary PGM: "P5\\n<w> <h>\\n255\\n" + raw rows.
+    """Write a uint8 grid as binary PGM: "P5\\n<w> <h>\\n255\\n" + raw rows,
+    through `files.write_file`, which replaces an old file the caller owns.
 
     The rows are written from the grid's own buffer; only a grid that is
     not C-contiguous is copied first."""
     arr = np.ascontiguousarray(as_gray8(img))
     height, width = arr.shape
-    with open(os.fspath(path), "wb") as fh:
-        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(arr)
+    write_file(path, (f"P5\n{width} {height}\n255\n".encode("ascii"), arr))
 
 
 # -- annotations -------------------------------------------------------
@@ -124,7 +124,8 @@ def write_pgm(img, path) -> None:
 
 def write_annotations(samples, outdir) -> None:
     """Write `thermal_NNNN.pgm`, `optical_NNNN.pgm` (unless null) and
-    `annotations.json` into `outdir`, which is created if needed."""
+    `annotations.json` into `outdir`, which is created if needed; each
+    file goes through `files.write_file`."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     records = []
@@ -139,9 +140,8 @@ def write_annotations(samples, outdir) -> None:
             for b in sample.boxes
         ]
         records.append(record)
-    (outdir / "annotations.json").write_text(
-        json.dumps(records, indent=2) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(records, indent=2) + "\n"
+    write_file(outdir / "annotations.json", (text.encode("utf-8"),))
 
 
 def read_annotations(path) -> list[AnnotatedSample]:

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, ShapeError, StateError
+from .files import write_file
 from .nn.layers import (
     BatchNormLayer,
     Conv2DLayer,
@@ -553,21 +554,26 @@ def _assemble(cfg: ModelConfig, rng) -> Model:
 
 
 def save_weights(model: Model, path) -> None:
-    """Write every parameter and batchnorm statistic as 32-bit floats.
+    """Write every parameter and batchnorm statistic as 32-bit floats,
+    through `files.write_file`, which replaces an old file the caller owns.
 
     A little-endian float32 array is written from its own buffer; only
     another dtype or byte order is converted, one tensor at a time."""
-    items = model.state_items()
-    with open(path, "wb") as fh:
-        fh.write(WEIGHTS_MAGIC)
-        fh.write(struct.pack("<II", WEIGHTS_VERSION, len(items)))
-        for name, arr in items:
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f4"))
+    write_file(path, _weights_chunks(model.state_items()))
+
+
+def _weights_chunks(items):
+    """The TOFW bytes of `items`, chunk by chunk, each payload converted
+    only when its turn comes."""
+    yield WEIGHTS_MAGIC
+    yield struct.pack("<II", WEIGHTS_VERSION, len(items))
+    for name, arr in items:
+        encoded = name.encode("utf-8")
+        yield struct.pack("<H", len(encoded))
+        yield encoded
+        yield struct.pack("<B", arr.ndim)
+        yield struct.pack(f"<{arr.ndim}I", *arr.shape)
+        yield np.ascontiguousarray(arr, dtype="<f4")
 
 
 def _walk_weights(fh) -> dict[str, tuple[tuple[int, ...], int]]:

@@ -11,12 +11,12 @@ Training logs the mean loss every max(1, epochs // 10) epochs.
 from __future__ import annotations
 
 import logging
-from pathlib import Path
 
 import numpy as np
 
 from .datakit import TrainingPair, random_crops
 from .errors import ValidationError
+from .files import write_file
 from .model import Model, ModelConfig, build_model
 from .nn import Adam, NonFiniteGradientError, logcosh_loss
 
@@ -108,7 +108,8 @@ def crop_pairs(samples, seed: int, per_box: int, crop_size: int) -> list[Trainin
 
 def write_loss_csv(path, losses) -> None:
     """CSV with header `epoch,loss`; loss formatted with full precision so
-    identical runs produce identical files."""
+    identical runs produce identical files. Written through
+    `files.write_file`, which replaces an old file the caller owns."""
     lines = ["epoch,loss"]
     lines.extend(f"{epoch},{value!r}" for epoch, value in enumerate(losses, start=1))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_file(path, (("\n".join(lines) + "\n").encode("ascii"),))

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ShapeError, ValidationError
+from .files import write_file
 
 
 @dataclass
@@ -124,14 +125,13 @@ def tile_layout(pyr: SubbandPyramid) -> np.ndarray:
 
 
 def write_coeff_plane(plane, path) -> None:
-    """Dump a coefficient plane: u32le height, u32le width, f64le row-major.
+    """Dump a coefficient plane: u32le height, u32le width, f64le row-major,
+    through `files.write_file`, which replaces an old file the caller owns.
 
     A C-contiguous little-endian float64 plane is written from its own
     buffer; only another layout, dtype or byte order is converted first."""
     x = _check_plane(plane)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<II", x.shape[0], x.shape[1]))
-        fh.write(np.ascontiguousarray(x, dtype="<f8"))
+    write_file(path, (struct.pack("<II", *x.shape), np.ascontiguousarray(x, dtype="<f8")))
 
 
 def read_coeff_plane(path) -> np.ndarray:

@@ -412,6 +412,39 @@ def test_infer_checks_output_path_before_loading(tmp_path, capsys, monkeypatch, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.pgm"]
 
 
+@pytest.mark.parametrize("bad", ["missing/x.out", "."])
+@pytest.mark.parametrize(
+    "command,flag", [("fuse", "--out"), ("rof", "--out-box"), ("rof", "--draw")]
+)
+def test_outputs_are_checked_before_reading_inputs(
+    tmp_path, capsys, monkeypatch, command, flag, bad
+):
+    import thermofuse.datakit
+
+    def no_read(path):
+        raise AssertionError(f"read_pgm({path}) ran for an unwritable {flag}")
+
+    monkeypatch.setattr(thermofuse.datakit, "read_pgm", no_read)
+    image = str(tmp_path / "t.pgm")
+    inputs = {"fuse": ["--thermal", image, "--mask", image],
+              "rof": ["--thermal", image, "--fused", image]}
+    out = tmp_path / bad
+    rc = main([command, *inputs[command], flag, str(out)])
+    assert_error_two(rc, capsys, f"{out}: not a file in an existing directory")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dwt_rewrite_gives_the_same_files(tmp_path):
+    image = tmp_path / "t.pgm"
+    write_pgm(np.random.default_rng(2).integers(0, 256, (32, 32), dtype=np.uint8), image)
+    out = tmp_path / "bands"
+    assert main(["dwt", str(image), "--out", str(out)]) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(first) == 15  # seven planes as .coef and .pgm, and tiles.pgm
+    assert main(["dwt", str(image), "--out", str(out)]) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+
 SETTING_TEXT = {int: "3", float: "0.5", str: "run.csv"}
 
 

@@ -1,9 +1,9 @@
 """Command-line front end: one subcommand per pipeline stage.
 
 Exit codes: 0 on success, 1 on usage errors, 2 on data/format/validation
-errors. Set THERMOFUSE_THREADS to cap BLAS/OpenMP thread counts; it is
-applied before numerical libraries load, which is why the heavy imports
-here live inside the command functions.
+errors. Set THERMOFUSE_THREADS to a positive integer to fix the BLAS/OpenMP
+thread counts; it is applied before numerical libraries load, which is why
+the heavy imports here live inside the command functions.
 """
 
 from __future__ import annotations
@@ -12,22 +12,41 @@ import argparse
 import os
 import sys
 
+from .errors import ThermofuseError, ValidationError
+
+_THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
+
+
+def _thread_count() -> str | None:
+    """THERMOFUSE_THREADS as a positive decimal integer, None if it is
+    unset or empty; ValidationError for any other value."""
+    count = os.environ.get("THERMOFUSE_THREADS")
+    if not count:
+        return None
+    if count.isascii() and count.isdigit() and int(count) > 0:
+        return str(int(count))
+    raise ValidationError(f"THERMOFUSE_THREADS must be a positive integer, got {count!r}")
+
 
 def _apply_thread_env() -> None:
-    count = os.environ.get("THERMOFUSE_THREADS")
-    if count:
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            os.environ.setdefault(var, count)
+    """Set every thread-count variable to THERMOFUSE_THREADS, over any
+    value already there. An invalid value sets nothing here; `main` reports
+    it."""
+    try:
+        count = _thread_count()
+    except ValidationError:
+        return
+    if count is not None:
+        for var in _THREAD_VARS:
+            os.environ[var] = count
 
 
 _apply_thread_env()
-
-from .errors import ThermofuseError, ValidationError  # noqa: E402
 
 
 class _UsageError(Exception):
@@ -331,6 +350,11 @@ def main(argv=None) -> int:
     import logging
 
     logging.basicConfig(level=logging.INFO, format="%(message)s")
+    try:
+        _thread_count()
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -47,16 +47,25 @@ every side; with stride 2 (even input extents required) the output is
 exactly half the input and the single leftover pad row/column goes at the
 bottom/right.
 
-All convolution arithmetic is one loop over the nine kernel taps; tap
-(i, j) of the padded input xp is the strided view xp[:, s*p + i, s*q + j].
-Three kernels take and return unpadded arrays and pad inside:
-`correlate(x, w, s)` sums tap(xp) @ w[i, j], `correlate_adjoint(dy, w, s,
-x_shape)` is its adjoint in x and `kernel_grad(x, dy, s)` its gradient in
-w. A convolution's forward, dX and dW are those three. A transpose
-convolution is the adjoint of the stride-2 convolution, doubling both
-extents exactly, so it runs them the other way round: forward is the
-adjoint, dX is `correlate(dy, w, 2)` and dW is `kernel_grad(dy, x, 2)`.
-Both cache only their input.
+All convolution arithmetic is one loop over the nine kernel taps, all
+read from one source (`_tap_source`): at stride 1 the padded input xp, at
+stride 2 the input split once into its four phase planes x[:, a::2, b::2]
+(the polyphase components a one-level Haar step also takes), each with
+one trailing zero row and column. Tap (i, j), whose (p, q) element is
+xp[:, s*p + i, s*q + j], is the window plane[i % s][j % s][:, i//s :
+i//s + out_h, j//s : j//s + out_w]: its rows are contiguous, so no tap is
+a strided gather. Three kernels take and return unpadded C-contiguous
+arrays: `correlate(x, w, s)` sums tap @ w[i, j], `correlate_adjoint(dy,
+w, s, x_shape)` is its adjoint in x and `kernel_grad(x, dy, s)` its
+gradient in w. At stride 1 the adjoint adds each tap's in-image block
+straight into dx; at stride 2 it accumulates into zeroed phase planes and
+interleaves them once into dx. The tests keep strided-view kernels as the
+reference for the bits: the planes change where a tap is read, not what
+is multiplied or the order of the sums. A convolution's forward, dX and
+dW are those three. A transpose convolution is the adjoint of the
+stride-2 convolution, doubling both extents exactly, so it runs them the
+other way round: forward is the adjoint, dX is `correlate(dy, w, 2)` and
+dW is `kernel_grad(dy, x, 2)`. Both cache only their input.
 """
 
 from __future__ import annotations
@@ -132,33 +141,50 @@ def _check_batched(x, dtype) -> np.ndarray:
     return x
 
 
-def _same_pads(h: int, w: int, stride: int) -> tuple[int, int, int, int]:
-    """(top, bottom, left, right) SAME padding of an h x w input."""
-    if stride == 1:
-        return 1, 1, 1, 1
+def _check_even(h: int, w: int) -> None:
     if h % 2 or w % 2:
         raise ShapeError(f"stride-2 convolution needs even extents, got {h}x{w}")
-    return 0, 1, 0, 1
 
 
-def _pad(x: np.ndarray, stride: int) -> np.ndarray:
-    """`x` SAME-padded for `stride` (np.pad's result, without its per-call
-    overhead)."""
+def _phases(x: np.ndarray) -> np.ndarray:
+    """The four phase planes of an even-extent `x` as one (2, 2, n, h/2,
+    w/2, c) view: [a, b] is x[:, a::2, b::2]."""
     n, h, w, c = x.shape
-    top, bottom, left, right = _same_pads(h, w, stride)
-    xp = np.zeros((n, top + h + bottom, left + w + right, c), dtype=x.dtype)
-    xp[:, top : top + h, left : left + w] = x
-    return xp
+    return x.reshape(n, h // 2, 2, w // 2, 2, c).transpose(2, 4, 0, 1, 3, 5)
 
 
-def _taps(xp: np.ndarray, stride: int, out_h: int, out_w: int):
-    """Yield (i, j, tap): the (batch, out_h, out_w, channels) strided view
-    of `xp` whose (p, q) element is xp[:, stride*p + i, stride*q + j]."""
+def _tap_source(x: np.ndarray, stride: int) -> np.ndarray:
+    """Where the taps of `x` come from, shaped (stride, stride, n, rows,
+    cols, c): at stride 1 the SAME-padded input, at stride 2 its four phase
+    planes (`_phases`), each with one trailing zero row and column. Odd
+    extents at stride 2 raise ShapeError before anything is allocated."""
+    n, h, w, c = x.shape
+    if stride == 1:
+        src = np.zeros((1, 1, n, h + 2, w + 2, c), dtype=x.dtype)
+        src[0, 0, :, 1 : h + 1, 1 : w + 1] = x
+        return src
+    _check_even(h, w)
+    src = np.zeros((2, 2, n, h // 2 + 1, w // 2 + 1, c), dtype=x.dtype)
+    src[:, :, :, : h // 2, : w // 2] = _phases(x)
+    return src
+
+
+def _taps(src: np.ndarray, stride: int, r: int, rows: int, out_w: int):
+    """Yield (i, j, tap) for output rows r to r + rows: tap (i, j) is the
+    (batch, rows, out_w, channels) window of plane [i % stride, j % stride]
+    of `src` (`_tap_source`) whose (p, q) element is padded pixel
+    (stride*(r + p) + i, stride*q + j). Its rows are contiguous."""
     for i in range(KERNEL):
         for j in range(KERNEL):
-            yield i, j, xp[
-                :, i : i + stride * out_h : stride, j : j + stride * out_w : stride, :
-            ]
+            u, v = r + i // stride, j // stride
+            yield i, j, src[i % stride, j % stride, :, u : u + rows, v : v + out_w]
+
+
+def _inside(i: int, extent: int) -> tuple[slice, slice]:
+    """(in x, in the output): the slices along one axis that tap offset `i`
+    joins inside the image at stride 1, where output p reads x at p + i - 1."""
+    d = i - 1
+    return slice(max(d, 0), extent + min(d, 0)), slice(max(-d, 0), extent - max(d, 0))
 
 
 def _band_rows(n: int, out_w: int, c: int, f: int) -> int:
@@ -173,17 +199,17 @@ def _band_rows(n: int, out_w: int, c: int, f: int) -> int:
 
 
 def correlate(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
-    """SAME-padded y = sum of tap(xp) @ w[i, j], one band of output rows at
-    a time (`_band_rows`): a band's taps are gathered into one GEMM operand
+    """SAME-padded y = sum of tap @ w[i, j], one band of output rows at a
+    time (`_band_rows`): a band's taps are gathered into one GEMM operand
     of bounded size, whatever the image size."""
     n, h, wd, c = x.shape
-    xp = _pad(x, stride)
+    src = _tap_source(x, stride)
     out_h, out_w, f = h // stride, wd // stride, w.shape[3]
     band = _band_rows(n, out_w, c, f)
     y = np.zeros((n, out_h, out_w, f), dtype=np.result_type(x, w))
     for r in range(0, out_h, band):
         y_band = y[:, r : r + band]
-        for i, j, tap in _taps(xp[:, stride * r :], stride, y_band.shape[1], out_w):
+        for i, j, tap in _taps(src, stride, r, y_band.shape[1], out_w):
             y_band += (tap.reshape(-1, c) @ w[i, j]).reshape(y_band.shape)
     return y
 
@@ -192,26 +218,40 @@ def correlate_adjoint(
     dy: np.ndarray, w: np.ndarray, stride: int, x_shape
 ) -> np.ndarray:
     """Adjoint of `correlate` in its (unpadded) input of shape `x_shape`:
-    tap(dxp) += dy @ w[i, j].T for every tap, then the padding cropped."""
+    dy @ w[i, j].T is added to every tap's pixels. At stride 1 each tap's
+    in-image block goes straight into dx; at stride 2 the taps accumulate
+    into zeroed phase planes, interleaved once into dx."""
     n, h, wd, c = x_shape
-    pt, pb, pl, pr = _same_pads(h, wd, stride)
-    dxp = np.zeros((n, pt + h + pb, pl + wd + pr, c), dtype=np.result_type(dy, w))
     out_h, out_w, f = dy.shape[1:]
+    dtype = np.result_type(dy, w)
     dy_flat = dy.reshape(n * out_h * out_w, f)
-    for i, j, tap in _taps(dxp, stride, out_h, out_w):
+    if stride == 1:
+        dx = np.zeros(x_shape, dtype=dtype)
+        for i in range(KERNEL):
+            rows, rows_y = _inside(i, h)
+            for j in range(KERNEL):
+                cols, cols_y = _inside(j, wd)
+                product = (dy_flat @ w[i, j].T).reshape(n, out_h, out_w, c)
+                dx[:, rows, cols] += product[:, rows_y, cols_y]
+        return dx
+    _check_even(h, wd)
+    src = np.zeros((2, 2, n, out_h + 1, out_w + 1, c), dtype=dtype)
+    for i, j, tap in _taps(src, stride, 0, out_h, out_w):
         tap += (dy_flat @ w[i, j].T).reshape(tap.shape)
-    return dxp[:, pt : pt + h, pl : pl + wd, :]
+    dx = np.empty(x_shape, dtype=dtype)
+    _phases(dx)[...] = src[:, :, :, :out_h, :out_w]
+    return dx
 
 
 def kernel_grad(x: np.ndarray, dy: np.ndarray, stride: int) -> np.ndarray:
-    """Gradient of `correlate` in w: dw[i, j] = tap(xp).T @ dy, each
-    product written straight into its slot."""
+    """Gradient of `correlate` in w: dw[i, j] = tap.T @ dy, each product
+    written straight into its slot."""
     n, out_h, out_w, f = dy.shape
     c = x.shape[3]
-    xp = _pad(x, stride)
+    src = _tap_source(x, stride)
     dy_flat = dy.reshape(n * out_h * out_w, f)
     dw = np.empty((KERNEL, KERNEL, c, f), dtype=np.result_type(x, dy))
-    for i, j, tap in _taps(xp, stride, out_h, out_w):
+    for i, j, tap in _taps(src, stride, 0, out_h, out_w):
         np.matmul(tap.reshape(n * out_h * out_w, c).T, dy_flat, out=dw[i, j])
     return dw
 

@@ -1,13 +1,18 @@
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import thermofuse
 from thermofuse import ThermofuseError
-from thermofuse.cli import _TRAIN_SETTINGS, _train_settings, build_parser, main
+from thermofuse.cli import _THREAD_VARS, _TRAIN_SETTINGS, _train_settings, build_parser, main
 from thermofuse.datakit import read_pgm, write_pgm
 
 
@@ -363,6 +368,33 @@ def test_synth_rejects_negative_seed(tmp_path, capsys):
     out = tmp_path / "data"
     rc = main(["synth", "--count", "1", "--seed", "-1", "--out", str(out)])
     assert_error_two(rc, capsys, "seed must be non-negative, got -1")
+    assert not out.exists()
+
+
+def test_thread_count_overrides_variables_already_set():
+    # THERMOFUSE_THREADS wins over a thread variable the shell already set:
+    # a BLAS left at another thread count may round its sums differently.
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(thermofuse.__file__).parents[1]),
+        "THERMOFUSE_THREADS": "01",
+        "OPENBLAS_NUM_THREADS": "2",
+        "OMP_NUM_THREADS": "4",
+    }
+    code = "import os, thermofuse.cli as c; print(*(os.environ[v] for v in c._THREAD_VARS))"
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.split() == ["1"] * len(_THREAD_VARS)
+
+
+@pytest.mark.parametrize("value", ["one", "0", "-1", "1.5", " 2", "\u00b2"])
+def test_invalid_thread_count_is_error_two(tmp_path, capsys, monkeypatch, value):
+    # Passed through, such a value would leave BLAS on every core.
+    monkeypatch.setenv("THERMOFUSE_THREADS", value)
+    out = tmp_path / "data"
+    rc = main(["synth", "--count", "1", "--seed", "1", "--out", str(out)])
+    assert_error_two(rc, capsys, f"THERMOFUSE_THREADS must be a positive integer, got {value!r}")
     assert not out.exists()
 
 

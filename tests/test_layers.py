@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from thermofuse import ShapeError, StateError
@@ -158,6 +158,17 @@ def test_stride_two_needs_even_extents():
         layer.forward(np.ones((1, 5, 6, 1)))
     with pytest.raises(ShapeError):
         Conv2DLayer(1, 1, stride=3)
+    # The extents are checked before any phase plane is built: these planes
+    # would take 135 MB, the input (a broadcast view) takes none.
+    x = np.broadcast_to(0.0, (1, 513, 512, 64))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError):
+            Conv2DLayer(64, 1, stride=2).forward(x, grad=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_conv_output_extents():
@@ -188,6 +199,137 @@ def test_conv_transpose_is_adjoint_of_strided_conv():
             transpose = Conv2DTransposeLayer(4, 3)
             transpose.params["w"][:] = kernel
             assert np.array_equal(transpose.forward(dy), dx)
+
+
+def _padded_reference(x, stride):
+    """`x` SAME-padded for `stride`: one pixel on every side at stride 1,
+    one row and column at the bottom/right at stride 2."""
+    n, h, w, c = x.shape
+    top, bottom, left, right = (1, 1, 1, 1) if stride == 1 else (0, 1, 0, 1)
+    xp = np.zeros((n, top + h + bottom, left + w + right, c), dtype=x.dtype)
+    xp[:, top : top + h, left : left + w] = x
+    return xp, top, left
+
+
+def _strided_taps(xp, stride, out_h, out_w):
+    for i in range(KERNEL):
+        for j in range(KERNEL):
+            yield i, j, xp[
+                :, i : i + stride * out_h : stride, j : j + stride * out_w : stride, :
+            ]
+
+
+def correlate_reference(x, w, stride):
+    """The strided-view kernels the phase planes replaced, kept as the
+    reference for their bits: tap (i, j) of the padded input xp is the
+    strided view xp[:, s*p + i, s*q + j]."""
+    n, h, wd, c = x.shape
+    xp, _, _ = _padded_reference(x, stride)
+    out_h, out_w, f = h // stride, wd // stride, w.shape[3]
+    band = _band_rows(n, out_w, c, f)
+    y = np.zeros((n, out_h, out_w, f), dtype=np.result_type(x, w))
+    for r in range(0, out_h, band):
+        y_band = y[:, r : r + band]
+        for i, j, tap in _strided_taps(xp[:, stride * r :], stride, y_band.shape[1], out_w):
+            y_band += (tap.reshape(-1, c) @ w[i, j]).reshape(y_band.shape)
+    return y
+
+
+def correlate_adjoint_reference(dy, w, stride, x_shape):
+    n, h, wd, c = x_shape
+    dxp, top, left = _padded_reference(np.zeros(x_shape, np.result_type(dy, w)), stride)
+    out_h, out_w, f = dy.shape[1:]
+    dy_flat = dy.reshape(n * out_h * out_w, f)
+    for i, j, tap in _strided_taps(dxp, stride, out_h, out_w):
+        tap += (dy_flat @ w[i, j].T).reshape(tap.shape)
+    return dxp[:, top : top + h, left : left + wd, :]
+
+
+def kernel_grad_reference(x, dy, stride):
+    n, out_h, out_w, f = dy.shape
+    c = x.shape[3]
+    xp, _, _ = _padded_reference(x, stride)
+    dy_flat = dy.reshape(n * out_h * out_w, f)
+    dw = np.empty((KERNEL, KERNEL, c, f), dtype=np.result_type(x, dy))
+    for i, j, tap in _strided_taps(xp, stride, out_h, out_w):
+        np.matmul(tap.reshape(n * out_h * out_w, c).T, dy_flat, out=dw[i, j])
+    return dw
+
+
+def with_signed_zeros(rng, shape, dtype):
+    """Normal values of `dtype` with about a quarter of them +0.0 or -0.0."""
+    a = rng.normal(size=shape).astype(dtype)
+    zeros = rng.random(shape) < 0.25
+    a[zeros] = np.copysign(0.0, rng.random(shape) - 0.5)[zeros]
+    return a
+
+
+def same_array(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+CHANNELS = st.sampled_from([1, 4, 16, 64])
+
+
+@given(
+    stride=st.sampled_from([1, 2]), n=st.integers(1, 3),
+    h=st.integers(1, 40), w=st.integers(1, 40), c=CHANNELS, f=CHANNELS,
+    dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1),
+)
+@example(stride=1, n=2, h=40, w=33, c=64, f=64, dtype=np.float32, seed=0)
+@example(stride=2, n=3, h=40, w=40, c=64, f=16, dtype=np.float64, seed=1)
+def test_kernels_match_strided_reference_bitwise(stride, n, h, w, c, f, dtype, seed):
+    # The phase planes change where a tap is read from, not what is
+    # multiplied or in which order it is summed: every kernel returns the
+    # bytes of the strided-view kernels, -0.0 included. The examples split
+    # `correlate` into several bands.
+    if stride == 2:
+        h, w = h + h % 2, w + w % 2
+    rng = np.random.default_rng(seed)
+    x = with_signed_zeros(rng, (n, h, w, c), dtype)
+    kernel = with_signed_zeros(rng, (KERNEL, KERNEL, c, f), dtype)
+    dy = with_signed_zeros(rng, (n, h // stride, w // stride, f), dtype)
+    assert same_array(correlate(x, kernel, stride), correlate_reference(x, kernel, stride))
+    assert same_array(
+        correlate_adjoint(dy, kernel, stride, x.shape),
+        correlate_adjoint_reference(dy, kernel, stride, x.shape),
+    )
+    dw, want = kernel_grad(x, dy, stride), kernel_grad_reference(x, dy, stride)
+    if stride == 2 and n * h == 2 and c == 1:
+        # One output row of one channel makes each tap a single vector. The
+        # strided kernel handed BLAS every other element of it, the phase
+        # plane hands it a contiguous one, and OpenBLAS's dot and gemv
+        # round the two differently. No layer of the network asks for this:
+        # its one-channel stride-2 convolutions read at least 8x8 inputs.
+        assert np.allclose(dw, want, rtol=1e-5, atol=1e-5)
+    else:
+        assert same_array(dw, want)
+
+
+def test_reference_example_runs_in_bands():
+    # The first example above spans three bands of `correlate`.
+    assert -(-40 // _band_rows(2, 33, 64, 64)) == 3
+
+
+def test_kernels_and_conv_layers_return_contiguous_arrays():
+    # The stride-2 adjoint interleaves its phase planes into a fresh dx and
+    # the stride-1 one adds into an unpadded one: neither returns a crop.
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(2, 6, 8, 3))
+    kernel = rng.normal(size=(KERNEL, KERNEL, 3, 5))
+    for stride in (1, 2):
+        dy = rng.normal(size=(2, 6 // stride, 8 // stride, 5))
+        assert correlate(x, kernel, stride).flags.c_contiguous
+        assert correlate_adjoint(dy, kernel, stride, x.shape).flags.c_contiguous
+        assert kernel_grad(x, dy, stride).flags.c_contiguous
+    for layer in (
+        Conv2DLayer(3, 5, stride=1, rng=rng),
+        Conv2DLayer(3, 5, stride=2, rng=rng),
+        Conv2DTransposeLayer(3, 5, rng=rng),
+    ):
+        y = layer.forward(x)
+        assert y.flags.c_contiguous
+        assert layer.backward(np.ones_like(y)).flags.c_contiguous
 
 
 def test_conv_working_set_is_a_few_inputs():

@@ -1,0 +1,58 @@
+"""The seeded bits of the network, pinned.
+
+A change that keeps every product and every sum order (a faster kernel, a
+new buffer layout) keeps these digests; a change that moves one bit of a
+weight, a loss or a mask fails here. The weights depend only on the seeded
+draws. The training run and the mask also go through BLAS, so like
+`test_ssim_bits_are_pinned` they hold for this BLAS build.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from thermofuse.fusion import compute_mask
+from thermofuse.model import ModelConfig, _weights_chunks, build_model
+from thermofuse.training import train_from_pairs
+
+from test_training import toy_pairs
+
+# Recorded before the stride-2 kernels took their taps from phase planes.
+# sha256 of the TOFW bytes of build_model(ModelConfig(dwf=d), seed=7).
+SEEDED_WEIGHTS = {
+    1: "7715250bc7e16704dcad9b9e5f104d3420a4913de53377e903d26ab06bda60bc",
+    2: "e04169edbbe1a3b4ceaa81ae6ba5d5ae70d91441d719ed1051c4f69d3a4d4ec3",
+    4: "0295c91db024cfc9a9b91c97a74428e27f7b8316572a2ec7cb717fa9b383a6b8",
+}
+# Two epochs of dwf=1 training: the losses (float.hex) and the weights.
+TRAIN_LOSSES = ["0x1.287f990000000p-4", "0x1.2b16320000000p-4"]
+TRAIN_WEIGHTS = "20f4a3d64d6599c83759bc2c85d962671ba36acb7238361e45b82d12da9b3375"
+# The dwf=2 64x64 mask of a seeded 8-bit thermal image.
+MASK_DIGEST = "dfa1cb9367766f904994cae457b7502b179f27c88bba5364a415c3b32a5ec7a0"
+
+
+def weights_digest(model) -> str:
+    h = hashlib.sha256()
+    for chunk in _weights_chunks(model.state_items()):
+        h.update(chunk)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("dwf", sorted(SEEDED_WEIGHTS))
+def test_seeded_weights_are_pinned(dwf):
+    assert weights_digest(build_model(ModelConfig(dwf=dwf), seed=7)) == SEEDED_WEIGHTS[dwf]
+
+
+def test_training_bits_are_pinned():
+    cfg = ModelConfig(dwf=1, height=32, width=32)
+    model, losses = train_from_pairs(cfg, toy_pairs(6, seed=3), epochs=2, batch_size=3, seed=9)
+    assert [loss.hex() for loss in losses] == TRAIN_LOSSES
+    assert weights_digest(model) == TRAIN_WEIGHTS
+
+
+def test_mask_bits_are_pinned():
+    model = build_model(ModelConfig(dwf=2, height=64, width=64), seed=11)
+    thermal = np.random.default_rng(12).integers(0, 256, size=(64, 64), dtype=np.uint8)
+    mask = compute_mask(model, thermal)
+    assert hashlib.sha256(mask.tobytes()).hexdigest() == MASK_DIGEST

@@ -184,16 +184,15 @@ def cmd_train(args) -> int:
     from .training import crop_pairs, train_from_pairs
 
     settings = _train_settings(args)
+    extent = settings["crop_size"]
+    cfg = ModelConfig(dwf=settings["dwf"], height=extent, width=extent)
     for path in (args.out, settings["loss_csv"]):
         if path is not None:
             _check_output_file(path)
     samples = read_annotations(args.annotations)
-    pairs = crop_pairs(samples, settings["seed"], settings["per_box"], settings["crop_size"])
-    extent = settings["crop_size"]
+    pairs = crop_pairs(samples, settings["seed"], settings["per_box"], extent)
     model, losses = train_from_pairs(
-        ModelConfig(dwf=settings["dwf"], height=extent, width=extent),
-        pairs,
-        epochs=settings["epochs"], batch_size=settings["batch_size"],
+        cfg, pairs, epochs=settings["epochs"], batch_size=settings["batch_size"],
         seed=settings["seed"], lr=settings["lr"], loss_csv=settings["loss_csv"],
     )
     save_weights(model, args.out)

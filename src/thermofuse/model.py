@@ -152,9 +152,7 @@ class Block:
         """Let go of every layer's backward cache: for a forward that does
         not run this block, so no cache of an earlier pass outlives it."""
         for layer in self.layers:
-            for attr in ("_cache", "_mask", "_out"):
-                if hasattr(layer, attr):
-                    setattr(layer, attr, None)
+            layer._cache = None
 
     def stores(self):
         """Yield ('<node>/conv', conv) and ('<node>/bn', bn): the layers

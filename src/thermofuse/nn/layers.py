@@ -14,24 +14,28 @@ chunks of bounded size and written straight into the kernel, so they hold
 the same values in either dtype.
 
 Every `forward` takes `grad`: with `grad=True` (the default) the layer
-caches whatever the backward pass needs, and one `backward` may follow.
-That backward consumes the cache: it reads it once and drops it, so the
-layer keeps no activation after its backward has run. A `backward` with
-no pending `grad=True` forward (none yet, a `grad=False` one since, or a
-second `backward` after the first) raises StateError. With `grad=False`
-the forward runs the same arithmetic, returns a bit-identical result,
-keeps nothing and drops what an earlier forward kept. `grad` is
-independent of `training`: an inference-mode forward can still be
-differentiated. With `grad=False` the layers after a convolution can
-also write their result into `x` itself (through numpy's `out=`) instead
-of a new array; `in_place=True` asks for that. Only a caller that owns
-`x` and keeps nothing else of it may ask: `model.Block` does, for the
+keeps whatever the backward pass needs in its one backward slot, `_cache`,
+and one `backward` may follow. That backward consumes the cache: it reads
+it once and drops it after it has returned, so the layer keeps no
+activation after its backward has run, and a backward that raises (a
+convolution given a gradient of the wrong shape) leaves it pending. A
+`backward` with no pending `grad=True` forward (none yet, a `grad=False`
+one since, or a second `backward` after the first) raises StateError.
+With `grad=False` the forward runs the same arithmetic, returns a
+bit-identical result, keeps nothing and drops what an earlier forward
+kept. `grad` is independent of `training`: an inference-mode forward can
+still be differentiated. With `grad=False` the layers after a convolution
+can also write their result into `x` itself (through numpy's `out=`)
+instead of a new array; `in_place=True` asks for that. Only a caller that
+owns `x` and keeps nothing else of it may ask: `model.Block` does, for the
 fresh output of its own convolution. A layer called on its own never
 writes its input.
 
-A layer's `grads` hold its last backward's parameter gradients until
-their owner takes them: `model.Model.gradients` hands them over and
-empties `grads`.
+The layers with parameters (both convolutions and batch normalization)
+hold their last backward's parameter gradients in `grads` until their
+owner takes them: `model.Model.gradients` hands them over and empties
+`grads`. The four without share one `forward`, and their `params` is an
+empty read-only mapping.
 
 The activations are branch-free: ReLU is `np.maximum(x, 0.0)` and leaky
 ReLU `np.maximum(x, LEAKY_ALPHA * x)`; their backward passes multiply by
@@ -47,28 +51,31 @@ every side; with stride 2 (even input extents required) the output is
 exactly half the input and the single leftover pad row/column goes at the
 bottom/right.
 
-All convolution arithmetic is one loop over the nine kernel taps, all
-read from one source (`_tap_source`): at stride 1 the padded input xp, at
-stride 2 the input split once into its four phase planes x[:, a::2, b::2]
-(the polyphase components a one-level Haar step also takes), each with
-one trailing zero row and column. Tap (i, j), whose (p, q) element is
-xp[:, s*p + i, s*q + j], is the window plane[i % s][j % s][:, i//s :
-i//s + out_h, j//s : j//s + out_w]: its rows are contiguous, so no tap is
-a strided gather. Three kernels take and return unpadded C-contiguous
-arrays: `correlate(x, w, s)` sums tap @ w[i, j], `correlate_adjoint(dy,
-w, s, x_shape)` is its adjoint in x and `kernel_grad(x, dy, s)` its
-gradient in w. At stride 1 the adjoint adds each tap's in-image block
-straight into dx; at stride 2 it accumulates into zeroed phase planes and
-interleaves them once into dx. The tests keep strided-view kernels as the
-reference for the bits: the planes change where a tap is read, not what
-is multiplied or the order of the sums. A convolution's forward, dX and
-dW are those three. A transpose convolution is the adjoint of the
-stride-2 convolution, doubling both extents exactly, so it runs them the
-other way round: forward is the adjoint, dX is `correlate(dy, w, 2)` and
-dW is `kernel_grad(dy, x, 2)`. Both cache only their input.
+All convolution arithmetic is one loop over the nine kernel taps of one
+source (`_zero_source`): at stride 1 the SAME-padded input xp, at stride 2
+the input's four phase planes x[:, a::2, b::2] (the polyphase components a
+one-level Haar step also takes), each with one trailing zero row and
+column. Tap (i, j), whose (p, q) element is xp[:, s*p + i, s*q + j], is
+the window plane[i % s][j % s][:, i//s : i//s + out_h, j//s : j//s +
+out_w]: its rows are contiguous, so no tap is a strided gather. Three
+kernels take and return unpadded C-contiguous arrays. `correlate(x, w,
+s)` and `kernel_grad(x, dy, s)` read the source filled with x: the first
+sums tap @ w[i, j], the second is its gradient in w, tap.T @ dy.
+`correlate_adjoint(dy, w, s, x_shape)`, its adjoint in x, writes the same
+source backward at both strides: every tap of a zeroed source gains dy @
+w[i, j].T, and the source's inside is dx. The tests keep strided-view
+kernels as the reference for the bits: the source changes where a tap is
+read or written, not what is multiplied or the order of the sums. A
+convolution's forward, dX and dW are those three. A transpose convolution
+is the adjoint of the stride-2 convolution, doubling both extents
+exactly, so it runs them the other way round: forward is the adjoint, dX
+is `correlate(dy, w, 2)` and dW is `kernel_grad(dy, x, 2)`. Both cache
+only their input.
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 import numpy as np
 
@@ -124,16 +131,6 @@ def _channel_mean(x: np.ndarray) -> np.ndarray:
     return np.true_divide(total, np.intp(x[..., 0].size), out=total, casting="unsafe")
 
 
-def _pending(cache, layer):
-    """`cache`, the state a `grad=True` forward left for `layer`'s backward;
-    StateError if there is none."""
-    if cache is None:
-        raise StateError(
-            f"{type(layer).__name__}.backward needs a pending forward with grad=True"
-        )
-    return cache
-
-
 def _check_batched(x, dtype) -> np.ndarray:
     x = np.asarray(x, dtype=dtype)
     if x.ndim != 4:
@@ -141,50 +138,47 @@ def _check_batched(x, dtype) -> np.ndarray:
     return x
 
 
-def _check_even(h: int, w: int) -> None:
-    if h % 2 or w % 2:
-        raise ShapeError(f"stride-2 convolution needs even extents, got {h}x{w}")
-
-
-def _phases(x: np.ndarray) -> np.ndarray:
-    """The four phase planes of an even-extent `x` as one (2, 2, n, h/2,
-    w/2, c) view: [a, b] is x[:, a::2, b::2]."""
+def _planes(x: np.ndarray, stride: int) -> np.ndarray:
+    """`x` as the (stride, stride, n, h/stride, w/stride, c) view of the
+    planes its taps come from: x[None, None] at stride 1, and at stride 2
+    its four phase planes, [a, b] being x[:, a::2, b::2]."""
+    if stride == 1:
+        return x[None, None]
     n, h, w, c = x.shape
     return x.reshape(n, h // 2, 2, w // 2, 2, c).transpose(2, 4, 0, 1, 3, 5)
 
 
+def _zero_source(shape, stride: int, dtype):
+    """A zeroed tap source for an input of `shape` and the view `inside` of
+    it that holds the input's planes (`_planes`): one zero row and column
+    follow each plane, and at stride 1 one more precedes it, so the source
+    is the SAME-padded input at stride 1 and its padded phase planes at
+    stride 2. Odd extents at stride 2 raise ShapeError before anything is
+    allocated."""
+    n, h, w, c = shape
+    if stride == 2 and (h % 2 or w % 2):
+        raise ShapeError(f"stride-2 convolution needs even extents, got {h}x{w}")
+    rows, cols, lead = h // stride, w // stride, 2 - stride
+    src = np.zeros((stride, stride, n, lead + rows + 1, lead + cols + 1, c), dtype=dtype)
+    return src, src[:, :, :, lead : lead + rows, lead : lead + cols]
+
+
 def _tap_source(x: np.ndarray, stride: int) -> np.ndarray:
-    """Where the taps of `x` come from, shaped (stride, stride, n, rows,
-    cols, c): at stride 1 the SAME-padded input, at stride 2 its four phase
-    planes (`_phases`), each with one trailing zero row and column. Odd
-    extents at stride 2 raise ShapeError before anything is allocated."""
-    n, h, w, c = x.shape
-    if stride == 1:
-        src = np.zeros((1, 1, n, h + 2, w + 2, c), dtype=x.dtype)
-        src[0, 0, :, 1 : h + 1, 1 : w + 1] = x
-        return src
-    _check_even(h, w)
-    src = np.zeros((2, 2, n, h // 2 + 1, w // 2 + 1, c), dtype=x.dtype)
-    src[:, :, :, : h // 2, : w // 2] = _phases(x)
+    """Where the taps of `x` come from (`_zero_source`), holding `x`."""
+    src, inside = _zero_source(x.shape, stride, x.dtype)
+    inside[...] = _planes(x, stride)
     return src
 
 
 def _taps(src: np.ndarray, stride: int, r: int, rows: int, out_w: int):
     """Yield (i, j, tap) for output rows r to r + rows: tap (i, j) is the
     (batch, rows, out_w, channels) window of plane [i % stride, j % stride]
-    of `src` (`_tap_source`) whose (p, q) element is padded pixel
+    of `src` (`_zero_source`) whose (p, q) element is padded pixel
     (stride*(r + p) + i, stride*q + j). Its rows are contiguous."""
     for i in range(KERNEL):
         for j in range(KERNEL):
             u, v = r + i // stride, j // stride
             yield i, j, src[i % stride, j % stride, :, u : u + rows, v : v + out_w]
-
-
-def _inside(i: int, extent: int) -> tuple[slice, slice]:
-    """(in x, in the output): the slices along one axis that tap offset `i`
-    joins inside the image at stride 1, where output p reads x at p + i - 1."""
-    d = i - 1
-    return slice(max(d, 0), extent + min(d, 0)), slice(max(-d, 0), extent - max(d, 0))
 
 
 def _band_rows(n: int, out_w: int, c: int, f: int) -> int:
@@ -218,28 +212,16 @@ def correlate_adjoint(
     dy: np.ndarray, w: np.ndarray, stride: int, x_shape
 ) -> np.ndarray:
     """Adjoint of `correlate` in its (unpadded) input of shape `x_shape`:
-    dy @ w[i, j].T is added to every tap's pixels. At stride 1 each tap's
-    in-image block goes straight into dx; at stride 2 the taps accumulate
-    into zeroed phase planes, interleaved once into dx."""
-    n, h, wd, c = x_shape
-    out_h, out_w, f = dy.shape[1:]
+    `correlate`'s tap source written backward. Every tap of a zeroed source
+    gains dy @ w[i, j].T, and the source's inside becomes dx."""
+    n, out_h, out_w, f = dy.shape
     dtype = np.result_type(dy, w)
+    src, inside = _zero_source(x_shape, stride, dtype)
     dy_flat = dy.reshape(n * out_h * out_w, f)
-    if stride == 1:
-        dx = np.zeros(x_shape, dtype=dtype)
-        for i in range(KERNEL):
-            rows, rows_y = _inside(i, h)
-            for j in range(KERNEL):
-                cols, cols_y = _inside(j, wd)
-                product = (dy_flat @ w[i, j].T).reshape(n, out_h, out_w, c)
-                dx[:, rows, cols] += product[:, rows_y, cols_y]
-        return dx
-    _check_even(h, wd)
-    src = np.zeros((2, 2, n, out_h + 1, out_w + 1, c), dtype=dtype)
     for i, j, tap in _taps(src, stride, 0, out_h, out_w):
         tap += (dy_flat @ w[i, j].T).reshape(tap.shape)
     dx = np.empty(x_shape, dtype=dtype)
-    _phases(dx)[...] = src[:, :, :, :out_h, :out_w]
+    _planes(dx, stride)[...] = inside
     return dx
 
 
@@ -256,7 +238,26 @@ def kernel_grad(x: np.ndarray, dy: np.ndarray, stride: int) -> np.ndarray:
     return dw
 
 
-class _Conv:
+class _Layer:
+    """The backward slot every layer has: `_cache` holds what its last
+    `grad=True` forward left for the backward, or None. A subclass supplies
+    `_backward(dout, cache)`."""
+
+    _cache = None
+
+    def backward(self, dout):
+        """`_backward` on the pending cache, which is dropped once it has
+        returned (not if it raises); StateError if nothing is pending."""
+        if self._cache is None:
+            raise StateError(
+                f"{type(self).__name__}.backward needs a pending forward with grad=True"
+            )
+        dx = self._backward(dout, self._cache)
+        self._cache = None
+        return dx
+
+
+class _Conv(_Layer):
     """What both convolutions share: kernel `w` and bias `b`, the
     input-channel check, the cache (the input itself), the output-gradient
     check, the bias and its gradient. A subclass supplies its output shape,
@@ -277,7 +278,6 @@ class _Conv:
                 part[:] = rng.uniform(-limit, limit, size=part.size)
         self.params = {"w": w, "b": np.zeros(filters, dtype=dtype)}
         self.grads: dict[str, np.ndarray] = {}
-        self._cache = None
 
     def forward(self, x, training: bool = False, rng=None, grad: bool = True):
         x = _check_batched(x, self.params["w"].dtype)
@@ -290,13 +290,11 @@ class _Conv:
         self._cache = x if grad else None
         return y
 
-    def backward(self, dout):
-        x = _pending(self._cache, self)
+    def _backward(self, dout, x):
         dy = np.asarray(dout, dtype=x.dtype)
         shape = self._out_shape(x.shape)
         if dy.shape != shape:
             raise ShapeError(f"gradient shape {dy.shape} does not match output {shape}")
-        self._cache = None
         self.grads["w"], dx = self._grads(x, dy)
         self.grads["b"] = _channel_sum(dy)
         return dx
@@ -350,7 +348,7 @@ class Conv2DTransposeLayer(_Conv):
         return kernel_grad(dy, x, 2), correlate(dy, self.params["w"], 2)
 
 
-class BatchNormLayer:
+class BatchNormLayer(_Layer):
     """Per-channel batch normalization with running statistics.
 
     Training mode normalizes by batch moments and updates the running
@@ -370,7 +368,6 @@ class BatchNormLayer:
             "moving_var": np.ones(channels, dtype=dtype),
         }
         self.grads: dict[str, np.ndarray] = {}
-        self._cache = None
 
     def forward(
         self, x, training: bool = False, rng=None, grad: bool = True,
@@ -412,9 +409,8 @@ class BatchNormLayer:
         y += self.params["beta"]
         return y
 
-    def backward(self, dout):
-        xhat, inv_std, training = _pending(self._cache, self)
-        self._cache = None
+    def _backward(self, dout, cache):
+        xhat, inv_std, training = cache
         dout = np.asarray(dout, dtype=xhat.dtype)
         self.grads["gamma"] = _channel_sum(dout * xhat)
         self.grads["beta"] = _channel_sum(dout)
@@ -427,101 +423,73 @@ class BatchNormLayer:
         return (inv_std / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
 
 
-class ReLULayer:
-    def __init__(self):
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
-        self._mask = None
+class _Pointwise(_Layer):
+    """What the four parameter-free layers share: no parameters, the input
+    kept (or made) floating, its own array as the output when `in_place`,
+    and the cache kept only with `grad`. A subclass supplies
+    `_forward(x, training, rng, grad, out) -> (y, cache)`, writing y into
+    `out` when that is not None."""
+
+    params = MappingProxyType({})
 
     def forward(
         self, x, training: bool = False, rng=None, grad: bool = True,
         in_place: bool = False,
     ):
         x = _floating(x)
-        self._mask = x >= 0.0 if grad else None
-        return np.maximum(x, 0.0, out=x if in_place else None)
+        y, cache = self._forward(x, training, rng, grad, x if in_place else None)
+        self._cache = cache if grad else None
+        return y
 
-    def backward(self, dout):
-        mask = _pending(self._mask, self)
-        self._mask = None
+
+class ReLULayer(_Pointwise):
+    def _forward(self, x, training, rng, grad, out):
+        mask = x >= 0.0 if grad else None
+        return np.maximum(x, 0.0, out=out), mask
+
+    def _backward(self, dout, mask):
         return _floating(dout) * mask
 
 
-class LeakyReLULayer:
-    def __init__(self):
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
-        self._mask = None
+class LeakyReLULayer(_Pointwise):
+    def _forward(self, x, training, rng, grad, out):
+        mask = x >= 0.0 if grad else None
+        return np.maximum(x, LEAKY_ALPHA * x, out=out), mask
 
-    def forward(
-        self, x, training: bool = False, rng=None, grad: bool = True,
-        in_place: bool = False,
-    ):
-        x = _floating(x)
-        self._mask = x >= 0.0 if grad else None
-        return np.maximum(x, LEAKY_ALPHA * x, out=x if in_place else None)
-
-    def backward(self, dout):
-        mask = _pending(self._mask, self)
-        self._mask = None
+    def _backward(self, dout, mask):
         dout = _floating(dout)
         return dout * np.maximum(mask, dout.dtype.type(LEAKY_ALPHA))
 
 
-class SigmoidLayer:
-    def __init__(self):
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
-        self._out = None
+class SigmoidLayer(_Pointwise):
+    def _forward(self, x, training, rng, grad, out):
+        y = sigmoid(x, out=out)
+        return y, y
 
-    def forward(
-        self, x, training: bool = False, rng=None, grad: bool = True,
-        in_place: bool = False,
-    ):
-        x = _floating(x)
-        out = sigmoid(x, out=x if in_place else None)
-        self._out = out if grad else None
-        return out
-
-    def backward(self, dout):
-        out = _pending(self._out, self)
-        self._out = None
-        return dout * out * (1.0 - out)
+    def _backward(self, dout, y):
+        return dout * y * (1.0 - y)
 
 
-# DropoutLayer._mask after an inference-mode `grad=True` forward: the
+# DropoutLayer's cache after an inference-mode `grad=True` forward: the
 # pending backward is the identity.
 _IDENTITY = object()
 
 
-class DropoutLayer:
+class DropoutLayer(_Pointwise):
     """Inverted dropout: zero with probability DROPOUT_RATE, scale survivors
     by 1/(1-DROPOUT_RATE) in training mode; identity in inference mode."""
 
-    def __init__(self):
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
-        self._mask = None
-
-    def forward(
-        self, x, training: bool = False, rng=None, grad: bool = True,
-        in_place: bool = False,
-    ):
-        x = _floating(x)
+    def _forward(self, x, training, rng, grad, out):
         if not training:
-            self._mask = _IDENTITY if grad else None
-            return x
+            return x, _IDENTITY
         if rng is None:
             raise StateError("dropout in training mode needs an rng")
         # float64 draws in every dtype, so the random stream is dtype-free.
         scale = x.dtype.type(1 / (1 - DROPOUT_RATE))
         mask = (rng.random(x.shape) >= DROPOUT_RATE) * scale
-        self._mask = mask if grad else None
-        return np.multiply(x, mask, out=x if in_place else None)
+        return np.multiply(x, mask, out=out), mask
 
-    def backward(self, dout):
-        mask = _pending(self._mask, self)
-        self._mask = None
+    def _backward(self, dout, mask):
         if mask is _IDENTITY:
             return dout
         return dout * mask

@@ -427,6 +427,15 @@ def test_train_checks_output_paths_before_training(tmp_path, capsys, caplog, fla
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
 
+def test_train_checks_crop_size_before_reading(tmp_path, capsys):
+    # The crop size is checked before the annotations are read: here there
+    # is no annotation file at all.
+    argv = ["train", str(tmp_path / "missing.json"), "--seed", "1", "--crop-size", "48",
+            "--out", str(tmp_path / "w.tofw")]
+    assert_error_two(main(argv), capsys, "height must be a positive multiple of 32, got 48")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("bad", ["missing/m.pgm", "."])
 def test_infer_checks_output_path_before_loading(tmp_path, capsys, monkeypatch, bad):
     # A bad --out must fail before the weights load and the forward pass.

@@ -10,6 +10,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from thermofuse import ShapeError, ValidationError
 from thermofuse import datakit, fusion, metrics, rof
 
+from blas_kernel import blas_note
+
 
 def gaussian_2d(size=11, sigma=1.5):
     half = size // 2
@@ -235,7 +237,7 @@ def test_ssim_bits_are_pinned():
             line = f"{box.text_line()} {s.ssim.hex()} {s.cossim.hex()} {s.mse.hex()}\n"
             h.update(line.encode())
             h.update(metrics.ssim_map(t, f).tobytes())
-    assert h.hexdigest() == PIPELINE_DIGEST
+    assert h.hexdigest() == PIPELINE_DIGEST, blas_note()
 
     rng = np.random.default_rng(7)
     h = hashlib.sha256()
@@ -246,4 +248,4 @@ def test_ssim_bits_are_pinned():
         h.update(metrics.ssim_map(a, b).tobytes())
         h.update(metrics.ssim_map(b, a).tobytes())
         h.update(f"{metrics.score_triple(a, b)}".encode())
-    assert h.hexdigest() == ODD_EXTENT_DIGEST
+    assert h.hexdigest() == ODD_EXTENT_DIGEST, blas_note()

@@ -420,13 +420,7 @@ def test_override_forward_drops_the_injected_blocks_caches(grad):
     rng = np.random.default_rng(15)
     model.forward(rng.uniform(size=(32, 32)), training=True, rng=rng)
     node = next(n for n in model.nodes if n.name == "hl1")
-    caches = lambda block: [
-        getattr(layer, attr)
-        for layer in block.layers
-        for attr in ("_cache", "_mask", "_out")
-        if hasattr(layer, attr)
-    ]
-    assert len(caches(node.block)) == len(node.block.layers)
+    caches = lambda block: [layer._cache for layer in block.layers]
     assert all(c is not None for c in caches(node.block))
     model.forward(
         rng.uniform(size=(32, 32)), overrides={"hl1": np.full((16, 16, 1), 0.5)},
@@ -448,9 +442,7 @@ def test_no_grad_forward_keeps_nothing_for_backward():
         model.activation("op1")
     for block in (n.block for n in model.nodes if n.block is not None):
         for layer in block.layers:
-            assert all(
-                getattr(layer, attr, None) is None for attr in ("_cache", "_mask", "_out")
-            )
+            assert layer._cache is None
 
 
 def test_no_grad_forward_leaves_later_gradients_unchanged():
@@ -558,8 +550,7 @@ def test_backward_leaves_only_parameters_and_gradients():
     assert not model._cache
     for block in (n.block for n in model.nodes if n.block is not None):
         for layer in block.layers:
-            for attr in ("_cache", "_mask", "_out"):
-                assert getattr(layer, attr, None) is None, (block.name, attr)
+            assert layer._cache is None, block.name
     grads = sum(g.nbytes for g in model.gradients().values())
     stats = sum(a.nbytes for name, a in model.state_items() if "/moving_" in name)
     # What the pass allocated and still holds, beyond the gradients and the

@@ -4,7 +4,8 @@ A change that keeps every product and every sum order (a faster kernel, a
 new buffer layout) keeps these digests; a change that moves one bit of a
 weight, a loss or a mask fails here. The weights depend only on the seeded
 draws. The training run and the mask also go through BLAS, so like
-`test_ssim_bits_are_pinned` they hold for this BLAS build.
+`test_ssim_bits_are_pinned` they hold for this BLAS build and kernel
+(`blas_kernel`), which a failing assert names.
 """
 
 import hashlib
@@ -16,6 +17,7 @@ from thermofuse.fusion import compute_mask
 from thermofuse.model import ModelConfig, _weights_chunks, build_model
 from thermofuse.training import train_from_pairs
 
+from blas_kernel import blas_note
 from test_training import toy_pairs
 
 # Recorded before the stride-2 kernels took their taps from phase planes.
@@ -47,12 +49,12 @@ def test_seeded_weights_are_pinned(dwf):
 def test_training_bits_are_pinned():
     cfg = ModelConfig(dwf=1, height=32, width=32)
     model, losses = train_from_pairs(cfg, toy_pairs(6, seed=3), epochs=2, batch_size=3, seed=9)
-    assert [loss.hex() for loss in losses] == TRAIN_LOSSES
-    assert weights_digest(model) == TRAIN_WEIGHTS
+    assert [loss.hex() for loss in losses] == TRAIN_LOSSES, blas_note()
+    assert weights_digest(model) == TRAIN_WEIGHTS, blas_note()
 
 
 def test_mask_bits_are_pinned():
     model = build_model(ModelConfig(dwf=2, height=64, width=64), seed=11)
     thermal = np.random.default_rng(12).integers(0, 256, size=(64, 64), dtype=np.uint8)
     mask = compute_mask(model, thermal)
-    assert hashlib.sha256(mask.tobytes()).hexdigest() == MASK_DIGEST
+    assert hashlib.sha256(mask.tobytes()).hexdigest() == MASK_DIGEST, blas_note()

@@ -216,7 +216,8 @@ def random_crops(
     row, first column, in that order), and then all of them are resampled
     in one `fusion.resample_windows` pass over the uint8 thermal image and
     the box's target: the pairs are bit for bit those of one
-    `resize_bilinear` call per window and image, divided by 255.
+    `resize_bilinear` call per window and image, divided by 255. A
+    `crop_size` below 1 raises the resampler's ShapeError.
     """
     if sample.optical is None:
         raise ValidationError(

@@ -169,8 +169,6 @@ def resize_bilinear(img, out_height: int, out_width: int) -> np.ndarray:
 
     The one-window case of `resample_windows`. A uint8 image is read
     as it is; any other is first converted to float64."""
-    if out_height < 1 or out_width < 1:
-        raise ShapeError(f"target extents must be positive, got {out_height}x{out_width}")
     src = np.asarray(img)
     if src.dtype != np.uint8:
         src = np.asarray(src, dtype=np.float64)
@@ -198,8 +196,11 @@ def resample_windows(images, rows, cols, out_height: int, out_width: int) -> lis
     images. The four corner values are gathered straight from each image
     by flat index, so a uint8 image is never copied to float64 as a whole,
     and the images are resampled one after the other, so the temporaries
-    stay at the size of one image's windows.
+    stay at the size of one image's windows. Output extents below 1 raise
+    ShapeError.
     """
+    if out_height < 1 or out_width < 1:
+        raise ShapeError(f"target extents must be positive, got {out_height}x{out_width}")
     y0, y1, wy = (a[:, :, None] for a in _bilinear_taps(*rows, out_height))
     x0, x1, wx = (a[:, None, :] for a in _bilinear_taps(*cols, out_width))
     stride = np.shape(images[0])[1]

@@ -28,11 +28,11 @@ import io
 import math
 import struct
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FormatError, ShapeError, StateError
+from .errors import FormatError, ShapeError, StateError, ValidationError
 from .files import write_file
 from .nn.layers import (
     BatchNormLayer,
@@ -164,15 +164,18 @@ class Block:
 
 @dataclass
 class Node:
-    """One graph node: an input feed, a block, a channel slice or a concat."""
+    """One graph node: an input feed, a block, a channel slice or a concat.
+
+    `arg` and `label` are its `_rows` row's own: a block's filter count, a
+    slice's channel or a concat's axis (1 rows, 2 columns, 3 channels), and
+    its row in the shape audit (None for no row)."""
 
     name: str
     op: str  # "input" | "block" | "slice" | "concat"
     inputs: tuple[str, ...] = ()
     block: Block | None = None
-    channel: int = 0  # slice: source channel index
-    axis: int = 0  # concat: 1 = rows, 2 = columns, 3 = channels
-    table_label: str | None = field(default=None, repr=False)
+    arg: int = 0
+    label: str | None = None
 
 
 class Model:
@@ -185,15 +188,17 @@ class Model:
     accumulates parameter gradients, handling the skip and tiling fan-out.
 
     One `backward` runs per `grad=True` forward, and it consumes that
-    forward's cache: each layer drops its own cache as it runs, and each
-    node's output is dropped as soon as the earliest of its consumers (in
-    forward order) has run its backward, so nothing is cached when
-    `backward` returns. `activation` and a second `backward` then raise
-    StateError. A `backward` given a gradient of the wrong shape raises
-    ShapeError before it drops anything. A forward with `overrides` caches
-    its activations, but its `backward` raises StateError naming the
-    injected nodes before any layer runs: their blocks did not run in that
-    pass, and their layers drop any cache an earlier pass left.
+    forward's cache. Backward reads the node outputs only for their shapes,
+    so it keeps those and empties the node cache as it starts; each layer
+    holds what its own backward reads and drops that cache as it runs, so
+    nothing is cached when `backward` returns. `activation` and a second
+    `backward` then raise StateError. A `backward` given a gradient of the
+    wrong shape raises ShapeError before it drops anything. `overrides`
+    naming anything but a non-input node raises ValidationError before any
+    block runs. A forward with `overrides` caches its activations, but its
+    `backward` raises StateError naming the injected nodes before any layer
+    runs: their blocks did not run in that pass, and their layers drop any
+    cache an earlier pass left.
     `gradients()` hands the gradients over: the layers let go of them, so
     they live only as long as the caller keeps the dict, and a second call
     raises StateError until the next `backward`.
@@ -214,11 +219,6 @@ class Model:
     def __init__(self, cfg: ModelConfig, nodes: list[Node]):
         self.cfg = cfg
         self.nodes = nodes
-        seen: set[str] = set()
-        for node in nodes:
-            if node.name in seen:
-                raise StateError(f"duplicate node name {node.name!r}")
-            seen.add(node.name)
         # (name prefix, layer) for every stateful layer, in graph order.
         self._stores = [s for node in nodes if node.block for s in node.block.stores()]
         self._params = self._named("params")
@@ -228,14 +228,6 @@ class Model:
         last_consumer = {src: node.name for node in nodes for src in node.inputs}
         for src, consumer in last_consumer.items():
             self._frees.setdefault(consumer, []).append(src)
-        # Node name -> cached outputs that no backward step after its own
-        # reads: those of the inputs it is the first consumer of, and its own
-        # if nothing consumes it.
-        self._releases: dict[str, list[str]] = {}
-        first_consumer = {src: node.name for node in reversed(nodes) for src in node.inputs}
-        for node in nodes:
-            consumer = first_consumer.get(node.name, node.name)
-            self._releases.setdefault(consumer, []).append(node.name)
         self._cache: dict[str, np.ndarray] = {}
         # Nodes whose output the last forward took from `overrides`.
         self._injected: list[str] = []
@@ -301,6 +293,13 @@ class Model:
 
         `grad=False` runs without backward caches (see the class docstring).
         """
+        if overrides is not None:
+            names = {node.name for node in self.nodes if node.op != "input"}
+            unknown = [repr(name) for name in overrides if name not in names]
+            if unknown:
+                raise ValidationError(
+                    "overrides must name non-input nodes, got " + ", ".join(unknown)
+                )
         rank = np.ndim(x)
         x = self._to_batch(x)
         n = x.shape[0]
@@ -326,15 +325,15 @@ class Model:
                 y = node.block.forward(out[node.inputs[0]], training, rng, grad)
             elif node.op == "slice":
                 src = out[node.inputs[0]]
-                y = src[..., node.channel : node.channel + 1]
+                y = src[..., node.arg : node.arg + 1]
             else:  # concat
                 try:
-                    y = np.concatenate([out[src] for src in node.inputs], axis=node.axis)
+                    y = np.concatenate([out[src] for src in node.inputs], axis=node.arg)
                 except ValueError as exc:
                     raise ShapeError(f"concat {node.name!r}: {exc}") from None
             out[node.name] = y
-            if node.table_label is not None:
-                audit.append((node.table_label, tuple(y.shape[1:])))
+            if node.label is not None:
+                audit.append((node.label, tuple(y.shape[1:])))
             if not grad:
                 for src in self._frees.get(node.name, ()):
                     del out[src]
@@ -361,34 +360,26 @@ class Model:
                 f"gradient shape {dout.shape} does not match output "
                 f"{self._cache[final].shape}"
             )
-        grads: dict[str, np.ndarray] = {final: dout.copy()}
-        dinput = None
+        shapes = {name: y.shape for name, y in self._cache.items()}
+        self._cache = {}
+        # Every node but the output feeds a later one, so each has its
+        # gradient by the time its turn comes; the input's comes last.
+        grads: dict[str, np.ndarray] = {final: dout}
         for node in reversed(self.nodes):
-            g = grads.pop(node.name, None)
-            if g is None:
-                pass  # no gradient reaches this node
-            elif node.op == "input":
-                dinput = g
-            elif node.op == "block":
+            g = grads.pop(node.name)
+            if node.op == "input":
+                return _unbatched(g, rank)
+            if node.op == "block":
                 self._accumulate(grads, node.inputs[0], node.block.backward(g))
             elif node.op == "slice":
                 src = node.inputs[0]
                 if src not in grads:
-                    grads[src] = np.zeros_like(self._cache[src])
-                grads[src][:, :, :, node.channel : node.channel + 1] += g
+                    grads[src] = np.zeros(shapes[src], dtype=self.cfg.dtype)
+                grads[src][..., node.arg : node.arg + 1] += g
             else:  # concat
-                a, b = node.inputs
-                split = self._cache[a].shape[node.axis]
-                index: list[slice] = [slice(None)] * 4
-                index[node.axis] = slice(0, split)
-                ga = g[tuple(index)].copy()
-                index[node.axis] = slice(split, None)
-                gb = g[tuple(index)].copy()
-                self._accumulate(grads, a, ga)
-                self._accumulate(grads, b, gb)
-            for src in self._releases.get(node.name, ()):
-                del self._cache[src]
-        return _unbatched(dinput, rank)
+                split = shapes[node.inputs[0]][node.arg]
+                for src, part in zip(node.inputs, np.split(g, [split], axis=node.arg)):
+                    self._accumulate(grads, src, part.copy())
 
     @staticmethod
     def _accumulate(grads: dict, name: str, g: np.ndarray):
@@ -534,17 +525,17 @@ def _assemble(cfg: ModelConfig, rng) -> Model:
     channels = {"input": 1}
     for name, op, inputs, arg, dropout, norm, label in _rows(cfg.dwf):
         inputs = (inputs,) if isinstance(inputs, str) else inputs
+        block = None
         if op == "slice":
-            nodes.append(Node(name, op, inputs, channel=arg, table_label=label))
             channels[name] = 1
         elif op == "concat":
-            nodes.append(Node(name, op, inputs, axis=arg, table_label=label))
             a, b = inputs
             channels[name] = channels[a] + channels[b] if arg == 3 else channels[a]
         else:
             block = Block(name, op, channels[inputs[0]], arg, rng, dropout, norm, cfg.dtype)
-            nodes.append(Node(name, "block", inputs, block=block, table_label=label))
+            op = "block"
             channels[name] = arg
+        nodes.append(Node(name, op, inputs, block, arg, label))
     return Model(cfg, nodes)
 
 
@@ -621,9 +612,10 @@ def load_weights(path, extents: tuple[int, int] | None = None) -> Model:
 
     The base filter count is recovered from the input-stage kernel; spatial
     extents are free at load time (every layer is extent-agnostic) and
-    default to 128x128. No initial weights are drawn: the graph's float32
-    arrays (the file's own precision) start at zero, and reading the file
-    into them is the first write to each.
+    default to 128x128. Extents that `ModelConfig` refuses raise its
+    ShapeError before the file is opened. No initial weights are drawn: the
+    graph's float32 arrays (the file's own precision) start at zero, and
+    reading the file into them is the first write to each.
 
     The file is streamed, never held whole: its headers are walked and
     checked against the graph's tensor set and extents first, and only then
@@ -631,14 +623,15 @@ def load_weights(path, extents: tuple[int, int] | None = None) -> Model:
     malformed file raises FormatError before any model array is written,
     and the load needs little memory beyond the model itself.
     """
+    height, width = extents if extents is not None else (128, 128)
+    cfg = ModelConfig(height=height, width=width)
     with open(path, "rb") as fh:
         index = _walk_weights(fh)
         first, _ = index.get("inp/conv/w", ((), 0))
         if len(first) != 4:
             raise FormatError("weights file lacks the input-stage convolution")
-        height, width = extents if extents is not None else (128, 128)
         try:
-            cfg = ModelConfig(dwf=int(first[3]), height=height, width=width)
+            cfg = replace(cfg, dwf=int(first[3]))
         except ShapeError as exc:
             raise FormatError(f"weights file implies an invalid model: {exc}") from exc
         model = _assemble(cfg, None)

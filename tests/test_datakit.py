@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from thermofuse import FormatError, ThermofuseError, ValidationError
+from thermofuse import FormatError, ShapeError, ThermofuseError, ValidationError
 from thermofuse import datakit
 from thermofuse.datakit import (
     read_annotations,
@@ -261,6 +261,16 @@ def test_random_crops_unregistered_sample():
     )
     with pytest.raises(ValidationError, match="unregistered"):
         random_crops(sample, per_box=1, rng=np.random.default_rng(0), crop_size=32)
+
+
+@pytest.mark.parametrize("crop_size", [0, -3])
+def test_random_crops_rejects_non_positive_crop_size(crop_size):
+    # Every box fits a window at these sizes, so each reaches the resampler,
+    # which refuses the extents instead of dividing by zero or indexing with
+    # a negative shape.
+    sample = make_sample(box=RoiBox(10, 12, 30, 40))
+    with pytest.raises(ShapeError, match="target extents must be positive"):
+        random_crops(sample, per_box=2, rng=np.random.default_rng(0), crop_size=crop_size)
 
 
 def test_random_crops_skips_oversized_box(caplog):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from thermofuse import FormatError, ShapeError, StateError
+from thermofuse import FormatError, ShapeError, StateError, ValidationError
 from thermofuse import model as model_module
 from thermofuse.model import (
     Block,
@@ -192,6 +192,25 @@ def test_full_audit_matches_reference_table():
     assert out.min() > 0.0 and out.max() < 1.0
 
 
+@pytest.mark.parametrize("dwf", [1, 2, 4])
+def test_row_table_invariants(dwf):
+    # What backward relies on without checking: unique names, inputs that
+    # run before their consumer, and a gradient reaching every node but the
+    # output, which no later node reads.
+    rows = model_module._rows(dwf)
+    names = [row[0] for row in rows]
+    assert len(set(names)) == len(names)
+    seen = {"input"}
+    read = set()
+    for name, _, inputs, *_ in rows:
+        inputs = (inputs,) if isinstance(inputs, str) else inputs
+        assert set(inputs) <= seen, name
+        read.update(inputs)
+        seen.add(name)
+    assert names[-1] == "output"
+    assert seen - read == {"output"}
+
+
 def test_forward_rank_mirrors_input():
     model = small_model()
     x = np.random.default_rng(1).uniform(size=(32, 32))
@@ -305,6 +324,23 @@ def test_injection_rejects_wrong_shape():
         model.forward(np.zeros((32, 32)), overrides={"hl1": np.zeros((4, 4, 1))})
 
 
+def test_injection_rejects_unknown_names(monkeypatch):
+    # A misspelt name or the input would otherwise be ignored: the output
+    # unchanged and nothing injected.
+    model = small_model()
+    x = np.random.default_rng(8).uniform(size=(32, 32))
+    model.forward(x)
+    ran = []
+    monkeypatch.setattr(Block, "forward", lambda self, *args: ran.append(self))
+    over = {"hl_1": np.zeros((16, 16, 1)), "hl1": np.zeros((16, 16, 1)),
+            "input": np.zeros((32, 32, 1))}
+    with pytest.raises(ValidationError, match="'hl_1', 'input'$"):
+        model.forward(x, overrides=over)
+    assert ran == []
+    # the earlier pass's activations stay readable
+    assert model.activation("op1").shape == (1, 32, 32, 1)
+
+
 def float64_model(seed):
     # Central differences at these eps need float64: the reference path.
     cfg = ModelConfig(dwf=1, height=32, width=32, dtype=np.float64)
@@ -410,6 +446,23 @@ def test_backward_after_overrides_raises_before_any_layer(monkeypatch):
         model.gradients()
     # the override pass's activations stay readable
     assert np.all(model.activation("op1")[0, :16, 16:, 0] == 0.5)
+
+
+def test_backward_keeps_shapes_not_activations(monkeypatch):
+    # Backward reads the node outputs only for their shapes: the node cache
+    # is empty by the time the first block runs its backward.
+    model = small_model()
+    y = model.forward(np.random.default_rng(13).uniform(size=(2, 32, 32, 1)))
+    seen = []
+    block_backward = Block.backward
+
+    def spied(self, dout):
+        seen.append(dict(model._cache))
+        return block_backward(self, dout)
+
+    monkeypatch.setattr(Block, "backward", spied)
+    model.backward(np.ones_like(y))
+    assert seen[0] == {}
 
 
 @pytest.mark.parametrize("grad", [True, False])
@@ -521,6 +574,17 @@ def test_backward_rank_follows_dout():
         model.backward(np.ones((16, 32)))
     with pytest.raises(ShapeError):
         model.backward(np.ones((2, 32, 32, 1)))
+
+
+def test_backward_leaves_dout_unchanged():
+    # A float32 gradient of the output's shape reaches the output block as
+    # the caller's own array.
+    model = small_model()
+    y = model.forward(np.random.default_rng(14).uniform(size=(2, 32, 32, 1)))
+    dout = np.random.default_rng(15).normal(size=y.shape).astype(np.float32)
+    want = dout.copy()
+    model.backward(dout)
+    assert np.array_equal(dout, want)
 
 
 # -- training memory ---------------------------------------------------
@@ -697,6 +761,19 @@ def test_load_infers_depth_factor(tmp_path):
     loaded = load_weights(path, extents=(64, 64))
     assert loaded.cfg.dwf == 2
     assert loaded.cfg.height == 64 and loaded.cfg.width == 64
+
+
+def test_load_checks_extents_before_the_file(tmp_path):
+    # Bad extents are the caller's, not the file's: ShapeError, raised
+    # before the file is opened; a file implying a bad dwf is FormatError.
+    path = tmp_path / "w.tofw"
+    save_weights(small_model(), path)
+    for target in (path, tmp_path / "missing.tofw"):
+        with pytest.raises(ShapeError, match="height must be a positive multiple of 32"):
+            load_weights(target, extents=(48, 64))
+    path.write_bytes(pack_weights([("inp/conv/w", np.zeros((3, 3, 1, 0)))]))
+    with pytest.raises(FormatError, match="implies an invalid model: dwf"):
+        load_weights(path)
 
 
 def test_read_weights_file_corruption(tmp_path):

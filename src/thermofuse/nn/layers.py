@@ -51,14 +51,15 @@ every side; with stride 2 (even input extents required) the output is
 exactly half the input and the single leftover pad row/column goes at the
 bottom/right.
 
-All convolution arithmetic is one loop over the nine kernel taps of one
-source (`_zero_source`): at stride 1 the SAME-padded input xp, at stride 2
-the input's four phase planes x[:, a::2, b::2] (the polyphase components a
-one-level Haar step also takes), each with one trailing zero row and
-column. Tap (i, j), whose (p, q) element is xp[:, s*p + i, s*q + j], is
-the window plane[i % s][j % s][:, i//s : i//s + out_h, j//s : j//s +
-out_w]: its rows are contiguous, so no tap is a strided gather. Three
-kernels take and return unpadded C-contiguous arrays. `correlate(x, w,
+Apart from the one-term products below, convolution arithmetic is one
+loop over the nine kernel taps of one source (`_zero_source`): at stride 1
+the SAME-padded input xp, at stride 2 the input's four phase planes
+x[:, a::2, b::2] (the polyphase components a one-level Haar step also
+takes), each with one trailing zero row and column. Tap (i, j), whose
+(p, q) element is xp[:, s*p + i, s*q + j], is the window
+plane[i % s][j % s][:, i//s : i//s + out_h, j//s : j//s + out_w]: its
+rows are contiguous, so no tap is a strided gather. Three kernels take
+and return unpadded C-contiguous arrays. `correlate(x, w,
 s)` and `kernel_grad(x, dy, s)` read the source filled with x: the first
 sums tap @ w[i, j], the second is its gradient in w, tap.T @ dy.
 `correlate_adjoint(dy, w, s, x_shape)`, its adjoint in x, writes the same
@@ -71,6 +72,20 @@ is the adjoint of the stride-2 convolution, doubling both extents
 exactly, so it runs them the other way round: forward is the adjoint, dX
 is `correlate(dy, w, 2)` and dW is `kernel_grad(dy, x, 2)`. Both cache
 only their input.
+
+A product with one term (one input channel in `correlate`, one filter in
+`correlate_adjoint`) is one multiply per output, and a GEMM with a
+one-term contraction gains nothing from its packing: `op2_0` at 256², 1
+-> 16 channels, ran at about 1 GFLOP/s on one thread of SkylakeX
+OpenBLAS, where the wide layers run at 75-100. Those two cases run
+without BLAS, as planes (`_plane_sum`): from +0.0, each tap in order adds
+w * window to every output channel's plane, a band of rows at a time,
+and each band goes to channels-last once. The bytes are the GEMMs': a
+one-term GEMM (alpha 1, beta 0) rounds the one product once, as numpy's
+multiply does, and the sums run in the same order from the same +0.0, so
+a -0.0 product never shows (+0.0 + -0.0 is +0.0). The operand's shape
+selects the path. `kernel_grad` stays on its GEMMs: its contraction runs
+over the pixels.
 """
 
 from __future__ import annotations
@@ -78,12 +93,14 @@ from __future__ import annotations
 from types import MappingProxyType
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..errors import ShapeError, StateError
 
 KERNEL = 3
 # Values per band operand in `correlate` (512 KB in float64), unless one
-# tap's weight slab is larger: see `_band_rows`.
+# tap's weight slab is larger: see `_band_rows`. Also the values in each of
+# the two band buffers of `_plane_sum`.
 _BAND_ELEMENTS = 1 << 16
 # Float64 values per draw when a kernel is initialised (512 KB).
 _DRAW_ELEMENTS = 1 << 16
@@ -148,6 +165,14 @@ def _planes(x: np.ndarray, stride: int) -> np.ndarray:
     return x.reshape(n, h // 2, 2, w // 2, 2, c).transpose(2, 4, 0, 1, 3, 5)
 
 
+def _check_extents(shape, stride: int) -> None:
+    """ShapeError unless a stride-2 convolution's input `shape` has even
+    extents."""
+    _, h, w, _ = shape
+    if stride == 2 and (h % 2 or w % 2):
+        raise ShapeError(f"stride-2 convolution needs even extents, got {h}x{w}")
+
+
 def _zero_source(shape, stride: int, dtype):
     """A zeroed tap source for an input of `shape` and the view `inside` of
     it that holds the input's planes (`_planes`): one zero row and column
@@ -156,8 +181,7 @@ def _zero_source(shape, stride: int, dtype):
     stride 2. Odd extents at stride 2 raise ShapeError before anything is
     allocated."""
     n, h, w, c = shape
-    if stride == 2 and (h % 2 or w % 2):
-        raise ShapeError(f"stride-2 convolution needs even extents, got {h}x{w}")
+    _check_extents(shape, stride)
     rows, cols, lead = h // stride, w // stride, 2 - stride
     src = np.zeros((stride, stride, n, lead + rows + 1, lead + cols + 1, c), dtype=dtype)
     return src, src[:, :, :, lead : lead + rows, lead : lead + cols]
@@ -187,20 +211,84 @@ def _band_rows(n: int, out_w: int, c: int, f: int) -> int:
     wider of c and f) holds about _BAND_ELEMENTS values, rounded down, but
     never less than one tap's c x f weight slab, rounded up to whole rows.
     So a wide layer streams each slab once per band of at least its own
-    size, and a band stays under the larger of the two plus one row."""
-    row = n * out_w * max(c, f)
+    size, and a band stays under the larger of the two plus one row. An
+    empty row (no batch, columns or channels) counts as one value."""
+    row = max(n * out_w * max(c, f), 1)
     return max(_BAND_ELEMENTS // row, (c * f + row - 1) // row)
+
+
+def _plane_sum(terms, per_item: int, width: int, y: np.ndarray) -> None:
+    """Write into `y` (n, rows, cols, k) sums of one-term products, one
+    plane per channel. `terms` lists, in summation order, (source, offset,
+    weights): `source` is flat, the n items' padded planes stacked, each
+    `per_item` rows of `width` values; the term's pixel (m, p, q) is
+    source[(m * per_item + p) * width + q + offset]; `weights` is the (k, 1)
+    column it scales. From +0.0, plane[k] += weights[k] * window adds one
+    rounded product per pixel, term by term.
+
+    A window is one contiguous run of the source that goes on through the
+    padding columns and the rows between items, so each term is one
+    multiply and one add over all the band's planes at once; what lands in
+    the padding is dropped. A band is whole items, or rows of one item when
+    an item is larger: each of its two buffers holds about _BAND_ELEMENTS
+    values (`_band_rows` of the stack as one tall image). Its planes go to
+    channels-last once, when their sums are done."""
+    n, rows, cols, k = y.shape
+    if y.size == 0:
+        return
+    fit = _band_rows(1, width, 1, k)
+    items = min(n, fit // per_item)
+    band = rows if items else min(fit, rows)
+    items = max(items, 1)
+
+    def run(g, rb):  # values per plane of a band of g items, rb rows each
+        return ((g - 1) * per_item + rb - 1) * width + cols
+
+    planes = np.empty(k * run(items, band), dtype=y.dtype)
+    prod = np.empty_like(planes)
+    for m in range(0, n, items):
+        g = min(items, n - m)
+        for r in range(0, rows, band):
+            rb = min(band, rows - r)
+            length = run(g, rb)
+            p = planes[: k * length].reshape(k, length)
+            t = prod[: k * length].reshape(k, length)
+            p.fill(0)
+            base = (m * per_item + r) * width
+            for source, offset, weights in terms:
+                start = base + offset
+                np.multiply(weights, source[start : start + length], out=t)
+                p += t
+            # Plane k's pixel (m + i, r + u, v) is p[k, (i * per_item + u) *
+            # width + v]; the band's last pixel is p[k, length - 1].
+            steps = np.multiply(p.itemsize, (length, per_item * width, width, 1))
+            done = as_strided(p, (k, g, rb, cols), steps, writeable=False)
+            y[m : m + g, r : r + rb] = done.transpose(1, 2, 3, 0)
 
 
 def correlate(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     """SAME-padded y = sum of tap @ w[i, j], one band of output rows at a
     time (`_band_rows`): a band's taps are gathered into one GEMM operand
-    of bounded size, whatever the image size."""
+    of bounded size, whatever the image size. With one input channel each
+    product has one term, and the sums run as planes (`_plane_sum`) of the
+    tap source's planes: the bytes of the GEMMs, without calling BLAS."""
     n, h, wd, c = x.shape
     src = _tap_source(x, stride)
     out_h, out_w, f = h // stride, wd // stride, w.shape[3]
-    band = _band_rows(n, out_w, c, f)
     y = np.zeros((n, out_h, out_w, f), dtype=np.result_type(x, w))
+    if c == 1:
+        per_item, width = src.shape[3:5]
+        flat = src.reshape(stride, stride, n * per_item * width)
+        weights = w[:, :, 0, :, None]
+        terms = [
+            (flat[i % stride, j % stride], i // stride * width + j // stride,
+             weights[i, j])
+            for i in range(KERNEL)
+            for j in range(KERNEL)
+        ]
+        _plane_sum(terms, per_item, width, y)
+        return y
+    band = _band_rows(n, out_w, c, f)
     for r in range(0, out_h, band):
         y_band = y[:, r : r + band]
         for i, j, tap in _taps(src, stride, r, y_band.shape[1], out_w):
@@ -213,9 +301,38 @@ def correlate_adjoint(
 ) -> np.ndarray:
     """Adjoint of `correlate` in its (unpadded) input of shape `x_shape`:
     `correlate`'s tap source written backward. Every tap of a zeroed source
-    gains dy @ w[i, j].T, and the source's inside becomes dx."""
+    gains dy @ w[i, j].T, and the source's inside becomes dx.
+
+    With one filter each product has one term, and each phase plane of dx
+    is summed as planes instead (`_plane_sum`), gathered from dy with one
+    leading and 2 - stride trailing zero rows and columns under that
+    plane's taps, in tap order. Where the source's tap would miss a pixel,
+    the plane adds w * 0.0 from that border instead of nothing, which
+    leaves a sum that is never -0.0 as it was: for finite weights the bytes
+    are the GEMMs'."""
     n, out_h, out_w, f = dy.shape
     dtype = np.result_type(dy, w)
+    if f == 1:
+        _check_extents(x_shape, stride)
+        lead = 2 - stride
+        dyp = np.zeros((n, 1 + out_h + lead, 1 + out_w + lead), dtype=dy.dtype)
+        dyp[:, 1 : 1 + out_h, 1 : 1 + out_w] = dy[..., 0]
+        per_item, width = dyp.shape[1:]
+        flat = dyp.reshape(n * per_item * width)
+        top = (KERNEL - 1) // stride
+        weights = w[:, :, :, 0, None]
+        dx = np.empty(x_shape, dtype=dtype)
+        phases = _planes(dx, stride)
+        for a in range(stride):
+            for b in range(stride):
+                terms = [
+                    (flat, (top - i // stride) * width + top - j // stride,
+                     weights[i, j])
+                    for i in range(a, KERNEL, stride)
+                    for j in range(b, KERNEL, stride)
+                ]
+                _plane_sum(terms, per_item, width, phases[a, b])
+        return dx
     src, inside = _zero_source(x_shape, stride, dtype)
     dy_flat = dy.reshape(n * out_h * out_w, f)
     for i, j, tap in _taps(src, stride, 0, out_h, out_w):

@@ -278,11 +278,18 @@ CHANNELS = st.sampled_from([1, 4, 16, 64])
 )
 @example(stride=1, n=2, h=40, w=33, c=64, f=64, dtype=np.float32, seed=0)
 @example(stride=2, n=3, h=40, w=40, c=64, f=16, dtype=np.float64, seed=1)
+@example(stride=1, n=3, h=40, w=40, c=1, f=64, dtype=np.float32, seed=2)
+@example(stride=2, n=3, h=40, w=40, c=1, f=64, dtype=np.float32, seed=3)
+@example(stride=1, n=2, h=40, w=33, c=64, f=1, dtype=np.float32, seed=4)
+@example(stride=2, n=3, h=40, w=40, c=64, f=1, dtype=np.float64, seed=5)
 def test_kernels_match_strided_reference_bitwise(stride, n, h, w, c, f, dtype, seed):
     # The phase planes change where a tap is read from, not what is
     # multiplied or in which order it is summed: every kernel returns the
-    # bytes of the strided-view kernels, -0.0 included. The examples split
-    # `correlate` into several bands.
+    # bytes of the strided-view kernels, -0.0 included. With one input
+    # channel (`correlate`) or one filter (`correlate_adjoint`) the sums run
+    # as planes, without BLAS, and still give the GEMMs' bytes. The first
+    # two examples split `correlate`'s GEMMs into several bands, the other
+    # four split the planes (`_plane_sum`) into several bands.
     if stride == 2:
         h, w = h + h % 2, w + w % 2
     rng = np.random.default_rng(seed)
@@ -309,6 +316,38 @@ def test_kernels_match_strided_reference_bitwise(stride, n, h, w, c, f, dtype, s
 def test_reference_example_runs_in_bands():
     # The first example above spans three bands of `correlate`.
     assert -(-40 // _band_rows(2, 33, 64, 64)) == 3
+    # `_plane_sum` bands the stack of padded items as one tall image of 64
+    # planes. At stride 1 an item (42 rows of 42 or 35 values) takes two
+    # bands; at stride 2 (21 rows of 21) a band holds two of the 3 items.
+    assert 20 <= _band_rows(1, 42, 1, 64) < 40
+    assert 20 <= _band_rows(1, 35, 1, 64) < 40
+    assert _band_rows(1, 21, 1, 64) // 21 == 2
+
+
+@pytest.mark.parametrize("shape", [(0, 8, 8), (2, 0, 8), (2, 8, 0)])
+@pytest.mark.parametrize("c,f", [(3, 4), (1, 4), (4, 1)])
+def test_empty_batch_or_extent_gives_empty_arrays(shape, c, f):
+    # Nothing to sum is not an error: every kernel and both convolution
+    # layers return arrays of the right (empty) shapes, forward and
+    # backward, and zero parameter gradients. c = 1 and f = 1 take the
+    # planes path.
+    rng = np.random.default_rng(0)
+    x = np.zeros((*shape, c))
+    kernel = rng.normal(size=(KERNEL, KERNEL, c, f))
+    for stride in (1, 2):
+        y = correlate(x, kernel, stride)
+        assert y.shape == (shape[0], shape[1] // stride, shape[2] // stride, f)
+        assert correlate_adjoint(y, kernel, stride, x.shape).shape == x.shape
+        assert same_array(kernel_grad(x, y, stride), np.zeros_like(kernel))
+    for layer in (
+        Conv2DLayer(c, f, stride=1, rng=rng),
+        Conv2DLayer(c, f, stride=2, rng=rng),
+        Conv2DTransposeLayer(c, f, rng=rng),
+    ):
+        y = layer.forward(x)
+        assert y.shape == layer._out_shape(x.shape)
+        assert layer.backward(np.zeros(y.shape)).shape == x.shape
+        assert not layer.grads["w"].any() and not layer.grads["b"].any()
 
 
 def test_kernels_and_conv_layers_return_contiguous_arrays():
@@ -357,6 +396,38 @@ def test_conv_working_set_is_a_few_inputs():
     # tap's product or dx.
     for stride in (1, 2):
         layer = Conv2DLayer(16, 16, stride=stride, rng=rng)
+        dy = np.ones_like(layer.forward(x, grad=True))
+        tracemalloc.start()
+        try:
+            layer.backward(dy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * x.nbytes, stride
+
+
+def test_one_term_working_set_is_bounded():
+    # A one-channel forward writes its planes through two band buffers of
+    # _BAND_ELEMENTS values each. The GEMM path's peak here, the output, the
+    # padded plane and one tap's product band, was 1.13x the output; the
+    # planes may add no more than their two buffers to that.
+    rng = np.random.default_rng(8)
+    layer = Conv2DLayer(1, 16, stride=1, rng=rng)
+    x = rng.normal(size=(1, 256, 256, 1))
+    out_bytes = x.nbytes * 16
+    tracemalloc.start()
+    try:
+        layer.forward(x, grad=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.14 * out_bytes + 2 * _BAND_ELEMENTS * x.itemsize
+
+    # A one-filter adjoint reads dy, padded, into dx band by band: no second
+    # source as large as the input, so backward keeps the 16 -> 16 bound.
+    x = rng.normal(size=(1, 128, 128, 16))
+    for stride in (1, 2):
+        layer = Conv2DLayer(16, 1, stride=stride, rng=rng)
         dy = np.ones_like(layer.forward(x, grad=True))
         tracemalloc.start()
         try:

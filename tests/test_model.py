@@ -224,6 +224,19 @@ def test_forward_rank_mirrors_input():
     assert np.array_equal(flat, batched[0, :, :, 0])
 
 
+def test_empty_batch_runs_forward_and_backward():
+    # An empty batch is not an error: it goes through every layer, both
+    # ways, and every parameter gradient is zero.
+    model = small_model()
+    x = np.zeros((0, 32, 32, 1))
+    assert model.forward(x, grad=False).shape == (0, 32, 32, 1)
+    y = model.forward(x)
+    assert y.shape == (0, 32, 32, 1)
+    model.backward(np.zeros(y.shape, dtype=y.dtype))
+    grads = model.gradients()
+    assert grads and not any(g.any() for g in grads.values())
+
+
 def test_forward_validation():
     model = small_model()
     with pytest.raises(ShapeError):

@@ -5,7 +5,7 @@ new buffer layout) keeps these digests; a change that moves one bit of a
 weight, a loss or a mask fails here. The weights depend only on the seeded
 draws. The training run and the mask also go through BLAS, so like
 `test_ssim_bits_are_pinned` they hold for this BLAS build and kernel
-(`blas_kernel`), which a failing assert names.
+(`blas_kernel`), which a failing assert names. The crops call no BLAS.
 """
 
 import hashlib
@@ -13,9 +13,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from thermofuse.datakit import synth_pairs
 from thermofuse.fusion import compute_mask
 from thermofuse.model import ModelConfig, _weights_chunks, build_model
-from thermofuse.training import train_from_pairs
+from thermofuse.training import crop_pairs, train_from_pairs
 
 from blas_kernel import blas_note
 from test_training import toy_pairs
@@ -32,6 +33,10 @@ TRAIN_LOSSES = ["0x1.287f990000000p-4", "0x1.2b16320000000p-4"]
 TRAIN_WEIGHTS = "20f4a3d64d6599c83759bc2c85d962671ba36acb7238361e45b82d12da9b3375"
 # The dwf=2 64x64 mask of a seeded 8-bit thermal image.
 MASK_DIGEST = "dfa1cb9367766f904994cae457b7502b179f27c88bba5364a415c3b32a5ec7a0"
+# The 18 training pairs (inputs, then targets, pair by pair) cropped at 96x96
+# from four seeded 192x192 samples. At 96 the bilinear weights are not all
+# dyadic, so a change in the order of the blend moves these bytes.
+CROP_DIGEST = "8f58daa490c14e3b16e3089970ed668b810347110e737e57e58680a49d0ece29"
 
 
 def weights_digest(model) -> str:
@@ -58,3 +63,15 @@ def test_mask_bits_are_pinned():
     thermal = np.random.default_rng(12).integers(0, 256, size=(64, 64), dtype=np.uint8)
     mask = compute_mask(model, thermal)
     assert hashlib.sha256(mask.tobytes()).hexdigest() == MASK_DIGEST, blas_note()
+
+
+def test_crop_bits_are_pinned():
+    pairs = crop_pairs(
+        synth_pairs(4, 192, np.random.default_rng(3)), seed=5, per_box=2, crop_size=96
+    )
+    h = hashlib.sha256()
+    for pair in pairs:
+        h.update(pair.input.tobytes())
+        h.update(pair.target.tobytes())
+    assert len(pairs) == 18
+    assert h.hexdigest() == CROP_DIGEST

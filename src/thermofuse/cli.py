@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .errors import ThermofuseError, ValidationError
+from .errors import ShapeError, ThermofuseError, ValidationError
 
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -211,10 +211,9 @@ def cmd_infer(args) -> int:
 
     _check_output_file(args.out)
     image = read_pgm(args.image)
-    height, width = image.shape
-    if height % 32 == 0 and width % 32 == 0:
-        model = load_weights(args.weights, extents=(height, width))
-    else:
+    try:
+        model = load_weights(args.weights, extents=image.shape)
+    except ShapeError:  # extents the model refuses: run at its default
         model = load_weights(args.weights)
     mask = to_uint8(compute_mask(model, image))
     write_pgm(mask, args.out)

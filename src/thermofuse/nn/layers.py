@@ -77,15 +77,20 @@ A product with one term (one input channel in `correlate`, one filter in
 `correlate_adjoint`) is one multiply per output, and a GEMM with a
 one-term contraction gains nothing from its packing: `op2_0` at 256², 1
 -> 16 channels, ran at about 1 GFLOP/s on one thread of SkylakeX
-OpenBLAS, where the wide layers run at 75-100. Those two cases run
-without BLAS, as planes (`_plane_sum`): from +0.0, each tap in order adds
-w * window to every output channel's plane, a band of rows at a time,
-and each band goes to channels-last once. The bytes are the GEMMs': a
+OpenBLAS, where the wide layers run at 75-100. At stride 1 those two
+cases run without BLAS, as planes (`_plane_sum`) over one stride-1 tap
+source: the forward reads x's at taps (i, j), the adjoint dy's at the
+mirrored taps (2 - i, 2 - j). From +0.0, each tap in order adds w *
+window to every output channel's plane, a band of rows at a time, and
+each band goes to channels-last once. The bytes are the GEMMs': a
 one-term GEMM (alpha 1, beta 0) rounds the one product once, as numpy's
 multiply does, and the sums run in the same order from the same +0.0, so
 a -0.0 product never shows (+0.0 + -0.0 is +0.0). The operand's shape
-selects the path. `kernel_grad` stays on its GEMMs: its contraction runs
-over the pixels.
+and the stride select the path. At stride 2 one-term products stay on
+the GEMMs: no network configuration runs a one-filter stride-2 adjoint,
+and the one-channel stride-2 forwards (seven per dwf=1 training step)
+saved about 0.2% of a step as planes, less than run-to-run noise.
+`kernel_grad` stays on its GEMMs: its contraction runs over the pixels.
 """
 
 from __future__ import annotations
@@ -165,14 +170,6 @@ def _planes(x: np.ndarray, stride: int) -> np.ndarray:
     return x.reshape(n, h // 2, 2, w // 2, 2, c).transpose(2, 4, 0, 1, 3, 5)
 
 
-def _check_extents(shape, stride: int) -> None:
-    """ShapeError unless a stride-2 convolution's input `shape` has even
-    extents."""
-    _, h, w, _ = shape
-    if stride == 2 and (h % 2 or w % 2):
-        raise ShapeError(f"stride-2 convolution needs even extents, got {h}x{w}")
-
-
 def _zero_source(shape, stride: int, dtype):
     """A zeroed tap source for an input of `shape` and the view `inside` of
     it that holds the input's planes (`_planes`): one zero row and column
@@ -181,7 +178,8 @@ def _zero_source(shape, stride: int, dtype):
     stride 2. Odd extents at stride 2 raise ShapeError before anything is
     allocated."""
     n, h, w, c = shape
-    _check_extents(shape, stride)
+    if stride == 2 and (h % 2 or w % 2):
+        raise ShapeError(f"stride-2 convolution needs even extents, got {h}x{w}")
     rows, cols, lead = h // stride, w // stride, 2 - stride
     src = np.zeros((stride, stride, n, lead + rows + 1, lead + cols + 1, c), dtype=dtype)
     return src, src[:, :, :, lead : lead + rows, lead : lead + cols]
@@ -217,25 +215,30 @@ def _band_rows(n: int, out_w: int, c: int, f: int) -> int:
     return max(_BAND_ELEMENTS // row, (c * f + row - 1) // row)
 
 
-def _plane_sum(terms, per_item: int, width: int, y: np.ndarray) -> None:
+def _plane_sum(src: np.ndarray, taps, y: np.ndarray) -> None:
     """Write into `y` (n, rows, cols, k) sums of one-term products, one
-    plane per channel. `terms` lists, in summation order, (source, offset,
-    weights): `source` is flat, the n items' padded planes stacked, each
-    `per_item` rows of `width` values; the term's pixel (m, p, q) is
-    source[(m * per_item + p) * width + q + offset]; `weights` is the (k, 1)
-    column it scales. From +0.0, plane[k] += weights[k] * window adds one
-    rounded product per pixel, term by term.
+    plane per channel, read from `src`, the stride-1 tap source
+    (`_tap_source`) of a one-channel array. `taps` lists, in summation
+    order, ((a, b), weights): pixel (m, p, q) of the term is padded pixel
+    (m, p + a, q + b), and `weights` (k values) scale it. From +0.0,
+    plane[k] += weights[k] * window adds one rounded product per pixel,
+    term by term.
 
-    A window is one contiguous run of the source that goes on through the
-    padding columns and the rows between items, so each term is one
-    multiply and one add over all the band's planes at once; what lands in
-    the padding is dropped. A band is whole items, or rows of one item when
-    an item is larger: each of its two buffers holds about _BAND_ELEMENTS
-    values (`_band_rows` of the stack as one tall image). Its planes go to
-    channels-last once, when their sums are done."""
+    The n padded items are stacked as one tall image, each `per_item` rows
+    of `width` values, so a window is one contiguous run of the flat source
+    that goes on through the padding columns and the rows between items:
+    each term is one multiply and one add over all the band's planes at
+    once, and what lands in the padding is dropped. A band is whole items,
+    or rows of one item when an item is larger: each of its two buffers
+    holds about _BAND_ELEMENTS values (`_band_rows` of the stack as one
+    tall image). Its planes go to channels-last once, when their sums are
+    done."""
     n, rows, cols, k = y.shape
     if y.size == 0:
         return
+    per_item, width = src.shape[3:5]
+    flat = src.reshape(-1)
+    terms = [(a * width + b, weights[:, None]) for (a, b), weights in taps]
     fit = _band_rows(1, width, 1, k)
     items = min(n, fit // per_item)
     band = rows if items else min(fit, rows)
@@ -255,9 +258,9 @@ def _plane_sum(terms, per_item: int, width: int, y: np.ndarray) -> None:
             t = prod[: k * length].reshape(k, length)
             p.fill(0)
             base = (m * per_item + r) * width
-            for source, offset, weights in terms:
+            for offset, weights in terms:
                 start = base + offset
-                np.multiply(weights, source[start : start + length], out=t)
+                np.multiply(weights, flat[start : start + length], out=t)
                 p += t
             # Plane k's pixel (m + i, r + u, v) is p[k, (i * per_item + u) *
             # width + v]; the band's last pixel is p[k, length - 1].
@@ -269,24 +272,17 @@ def _plane_sum(terms, per_item: int, width: int, y: np.ndarray) -> None:
 def correlate(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     """SAME-padded y = sum of tap @ w[i, j], one band of output rows at a
     time (`_band_rows`): a band's taps are gathered into one GEMM operand
-    of bounded size, whatever the image size. With one input channel each
-    product has one term, and the sums run as planes (`_plane_sum`) of the
-    tap source's planes: the bytes of the GEMMs, without calling BLAS."""
+    of bounded size, whatever the image size. With one input channel at
+    stride 1 each product has one term, and the sums run as planes
+    (`_plane_sum`) over the same tap source, taps (i, j) scaled by
+    w[i, j, 0]: the bytes of the GEMMs, without calling BLAS."""
     n, h, wd, c = x.shape
     src = _tap_source(x, stride)
     out_h, out_w, f = h // stride, wd // stride, w.shape[3]
     y = np.zeros((n, out_h, out_w, f), dtype=np.result_type(x, w))
-    if c == 1:
-        per_item, width = src.shape[3:5]
-        flat = src.reshape(stride, stride, n * per_item * width)
-        weights = w[:, :, 0, :, None]
-        terms = [
-            (flat[i % stride, j % stride], i // stride * width + j // stride,
-             weights[i, j])
-            for i in range(KERNEL)
-            for j in range(KERNEL)
-        ]
-        _plane_sum(terms, per_item, width, y)
+    if c == 1 and stride == 1:
+        taps = [((i, j), w[i, j, 0]) for i in range(KERNEL) for j in range(KERNEL)]
+        _plane_sum(src, taps, y)
         return y
     band = _band_rows(n, out_w, c, f)
     for r in range(0, out_h, band):
@@ -303,35 +299,23 @@ def correlate_adjoint(
     `correlate`'s tap source written backward. Every tap of a zeroed source
     gains dy @ w[i, j].T, and the source's inside becomes dx.
 
-    With one filter each product has one term, and each phase plane of dx
-    is summed as planes instead (`_plane_sum`), gathered from dy with one
-    leading and 2 - stride trailing zero rows and columns under that
-    plane's taps, in tap order. Where the source's tap would miss a pixel,
-    the plane adds w * 0.0 from that border instead of nothing, which
+    With one filter at stride 1 each product has one term, and dx is
+    summed as planes instead (`_plane_sum`), read from dy's own stride-1
+    tap source at the mirrored taps (2 - i, 2 - j), scaled by w[i, j, :, 0],
+    in tap order. Where the written source's tap would miss a pixel of dx,
+    the plane adds w * 0.0 from dy's padding instead of nothing, which
     leaves a sum that is never -0.0 as it was: for finite weights the bytes
     are the GEMMs'."""
     n, out_h, out_w, f = dy.shape
     dtype = np.result_type(dy, w)
-    if f == 1:
-        _check_extents(x_shape, stride)
-        lead = 2 - stride
-        dyp = np.zeros((n, 1 + out_h + lead, 1 + out_w + lead), dtype=dy.dtype)
-        dyp[:, 1 : 1 + out_h, 1 : 1 + out_w] = dy[..., 0]
-        per_item, width = dyp.shape[1:]
-        flat = dyp.reshape(n * per_item * width)
-        top = (KERNEL - 1) // stride
-        weights = w[:, :, :, 0, None]
+    if f == 1 and stride == 1:
         dx = np.empty(x_shape, dtype=dtype)
-        phases = _planes(dx, stride)
-        for a in range(stride):
-            for b in range(stride):
-                terms = [
-                    (flat, (top - i // stride) * width + top - j // stride,
-                     weights[i, j])
-                    for i in range(a, KERNEL, stride)
-                    for j in range(b, KERNEL, stride)
-                ]
-                _plane_sum(terms, per_item, width, phases[a, b])
+        taps = [
+            ((KERNEL - 1 - i, KERNEL - 1 - j), w[i, j, :, 0])
+            for i in range(KERNEL)
+            for j in range(KERNEL)
+        ]
+        _plane_sum(_tap_source(dy, 1), taps, dx)
         return dx
     src, inside = _zero_source(x_shape, stride, dtype)
     dy_flat = dy.reshape(n * out_h * out_w, f)

@@ -15,7 +15,7 @@ import logging
 import numpy as np
 
 from .datakit import TrainingPair, random_crops
-from .errors import ValidationError
+from .errors import ShapeError, ValidationError
 from .files import write_file
 from .model import Model, ModelConfig, build_model
 from .nn import Adam, NonFiniteGradientError, logcosh_loss
@@ -26,6 +26,11 @@ log = logging.getLogger(__name__)
 def _streams(seed: int) -> list[np.random.SeedSequence]:
     """Streams 0-3 of `seed`, in the order the module docstring gives."""
     return np.random.SeedSequence(seed).spawn(4)
+
+
+def _stack(grids, dtype) -> np.ndarray:
+    """The (h, w) `grids` as one (n, h, w, 1) batch in `dtype`."""
+    return np.stack([np.asarray(g, dtype=dtype) for g in grids])[..., None]
 
 
 def train_from_pairs(
@@ -40,6 +45,11 @@ def train_from_pairs(
     """Build a fresh model and train it, seeded from streams 0-2 of `seed`;
     returns the model and the mean loss per epoch.
 
+    Every pair's input and target must be `(cfg.height, cfg.width)`: the
+    first that is not raises ShapeError, naming its index, before the model
+    is built. Each step gathers its batch from `pairs` in `cfg.dtype`, so no
+    copy of the whole training set is made.
+
     An update rejected for a non-finite gradient raises
     NonFiniteGradientError naming the epoch, the step and the indices in
     `pairs` of that step's batch."""
@@ -51,12 +61,18 @@ def train_from_pairs(
         )
     if not 0.0 < lr < float("inf"):  # false for NaN as well
         raise ValidationError(f"learning rate must be positive and finite, got {lr}")
+    extents = (cfg.height, cfg.width)
+    for index, pair in enumerate(pairs):
+        shapes = np.shape(pair.input), np.shape(pair.target)
+        if shapes != (extents, extents):
+            raise ShapeError(
+                f"training pair {index} has input {shapes[0]} and target {shapes[1]}, "
+                f"expected {extents} for both"
+            )
     init_seq, shuffle_seq, dropout_seq, _ = _streams(seed)
     model = build_model(cfg, seed=init_seq)
     rng_shuffle = np.random.default_rng(shuffle_seq)
     rng_dropout = np.random.default_rng(dropout_seq)
-    inputs = np.stack([np.asarray(p.input, dtype=cfg.dtype) for p in pairs])[..., None]
-    targets = np.stack([np.asarray(p.target, dtype=cfg.dtype) for p in pairs])[..., None]
     count = len(pairs)
     log_every = max(1, epochs // 10)
     optimizer = Adam(lr=lr)
@@ -67,8 +83,10 @@ def train_from_pairs(
         total = 0.0
         for step, start in enumerate(range(0, count, batch_size), start=1):
             chosen = order[start : start + batch_size]
-            predicted = model.forward(inputs[chosen], training=True, rng=rng_dropout)
-            loss, dloss = logcosh_loss(predicted, targets[chosen])
+            batch = [pairs[i] for i in chosen]
+            inputs = _stack([p.input for p in batch], cfg.dtype)
+            predicted = model.forward(inputs, training=True, rng=rng_dropout)
+            loss, dloss = logcosh_loss(predicted, _stack([p.target for p in batch], cfg.dtype))
             if not np.isfinite(loss):
                 raise ValidationError(
                     f"training loss is not finite at epoch {epoch}, step {step}"

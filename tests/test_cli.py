@@ -219,6 +219,36 @@ def test_infer_with_nan_weights_writes_no_mask(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("shape,extents", [((64, 96), (64, 96)), ((48, 40), (128, 128))])
+def test_infer_runs_at_the_image_extents_the_model_accepts(
+    tmp_path, capsys, monkeypatch, shape, extents
+):
+    # An image whose extents the model accepts runs at them; any other is
+    # resampled to the default 128x128 and back. Either way the mask is
+    # `compute_mask`'s for the model loaded at those extents.
+    import thermofuse.model
+    from thermofuse.fusion import compute_mask, to_uint8
+    from thermofuse.model import ModelConfig, build_model, load_weights, save_weights
+
+    weights = tmp_path / "w.tofw"
+    save_weights(build_model(ModelConfig(dwf=1, height=32, width=32), seed=3), weights)
+    image = np.random.default_rng(4).integers(0, 256, size=shape, dtype=np.uint8)
+    thermal, out = tmp_path / "t.pgm", tmp_path / "m.pgm"
+    write_pgm(image, thermal)
+    loaded = []
+
+    def spy(*args, **kwargs):
+        loaded.append(load_weights(*args, **kwargs))
+        return loaded[-1]
+
+    monkeypatch.setattr(thermofuse.model, "load_weights", spy)
+    assert main(["infer", str(weights), str(thermal), "--out", str(out)]) == 0
+    model = loaded[-1]
+    assert (model.cfg.height, model.cfg.width) == extents
+    want = to_uint8(compute_mask(load_weights(weights, extents=extents), image))
+    assert np.array_equal(read_pgm(out), want)
+
+
 def test_train_rejects_nan_learning_rate(tmp_path, capsys):
     data = tmp_path / "data"
     main(["synth", "--count", "1", "--seed", "5", "--out", str(data)])

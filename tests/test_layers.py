@@ -282,14 +282,19 @@ CHANNELS = st.sampled_from([1, 4, 16, 64])
 @example(stride=2, n=3, h=40, w=40, c=1, f=64, dtype=np.float32, seed=3)
 @example(stride=1, n=2, h=40, w=33, c=64, f=1, dtype=np.float32, seed=4)
 @example(stride=2, n=3, h=40, w=40, c=64, f=1, dtype=np.float64, seed=5)
+@example(stride=1, n=3, h=40, w=40, c=1, f=16, dtype=np.float64, seed=6)
+@example(stride=1, n=3, h=40, w=40, c=16, f=1, dtype=np.float32, seed=7)
 def test_kernels_match_strided_reference_bitwise(stride, n, h, w, c, f, dtype, seed):
     # The phase planes change where a tap is read from, not what is
     # multiplied or in which order it is summed: every kernel returns the
     # bytes of the strided-view kernels, -0.0 included. With one input
-    # channel (`correlate`) or one filter (`correlate_adjoint`) the sums run
-    # as planes, without BLAS, and still give the GEMMs' bytes. The first
-    # two examples split `correlate`'s GEMMs into several bands, the other
-    # four split the planes (`_plane_sum`) into several bands.
+    # channel (`correlate`) or one filter (`correlate_adjoint`) at stride 1
+    # the sums run as planes, without BLAS, and still give the GEMMs'
+    # bytes. The first two examples split `correlate`'s GEMMs into several
+    # bands. The third and fifth split one item's planes (`_plane_sum`)
+    # into several bands; the last two put two of their three items in one
+    # band and the third in a shorter last one. The fourth and sixth run
+    # their one-term products on the stride-2 GEMMs.
     if stride == 2:
         h, w = h + h % 2, w + w % 2
     rng = np.random.default_rng(seed)
@@ -316,12 +321,14 @@ def test_kernels_match_strided_reference_bitwise(stride, n, h, w, c, f, dtype, s
 def test_reference_example_runs_in_bands():
     # The first example above spans three bands of `correlate`.
     assert -(-40 // _band_rows(2, 33, 64, 64)) == 3
-    # `_plane_sum` bands the stack of padded items as one tall image of 64
-    # planes. At stride 1 an item (42 rows of 42 or 35 values) takes two
-    # bands; at stride 2 (21 rows of 21) a band holds two of the 3 items.
+    # `_plane_sum` bands the stack of padded items as one tall image. With
+    # 64 planes an item of 42 rows of 42 or 35 values takes two bands, and
+    # one of 21 rows of 21 shares a band with one more; with 16 planes a
+    # band holds two of the 3 items of 42 rows of 42.
     assert 20 <= _band_rows(1, 42, 1, 64) < 40
     assert 20 <= _band_rows(1, 35, 1, 64) < 40
     assert _band_rows(1, 21, 1, 64) // 21 == 2
+    assert _band_rows(1, 42, 1, 16) // 42 == 2
 
 
 @pytest.mark.parametrize("shape", [(0, 8, 8), (2, 0, 8), (2, 8, 0)])
@@ -330,7 +337,7 @@ def test_empty_batch_or_extent_gives_empty_arrays(shape, c, f):
     # Nothing to sum is not an error: every kernel and both convolution
     # layers return arrays of the right (empty) shapes, forward and
     # backward, and zero parameter gradients. c = 1 and f = 1 take the
-    # planes path.
+    # planes path at stride 1.
     rng = np.random.default_rng(0)
     x = np.zeros((*shape, c))
     kernel = rng.normal(size=(KERNEL, KERNEL, c, f))
@@ -423,8 +430,9 @@ def test_one_term_working_set_is_bounded():
         tracemalloc.stop()
     assert peak <= 1.14 * out_bytes + 2 * _BAND_ELEMENTS * x.itemsize
 
-    # A one-filter adjoint reads dy, padded, into dx band by band: no second
-    # source as large as the input, so backward keeps the 16 -> 16 bound.
+    # At stride 1 a one-filter adjoint reads dy's padded source into dx band
+    # by band: no second source as large as the input, so backward keeps the
+    # 16 -> 16 bound. At stride 2 it runs the GEMMs, under the same bound.
     x = rng.normal(size=(1, 128, 128, 16))
     for stride in (1, 2):
         layer = Conv2DLayer(16, 1, stride=stride, rng=rng)

@@ -1,10 +1,11 @@
 import hashlib
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from thermofuse import ValidationError
+from thermofuse import ShapeError, ValidationError
 from thermofuse.datakit import AnnotatedSample, TrainingPair, random_crops, synth_pairs
 from thermofuse.fusion import RoiBox
 from thermofuse.model import ModelConfig, save_weights
@@ -37,6 +38,48 @@ def test_train_from_pairs_validation():
     for lr in (float("nan"), float("inf")):
         with pytest.raises(ValidationError, match="finite"):
             train_from_pairs(CFG, pairs, 1, 2, seed=0, lr=lr)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        TrainingPair(np.zeros((64, 64)), np.zeros((32, 32))),
+        TrainingPair(np.zeros((32, 32)), np.zeros((32, 31))),
+        TrainingPair(np.zeros((32, 32, 1)), np.zeros((32, 32))),
+    ],
+)
+def test_train_from_pairs_checks_every_pair_first(monkeypatch, bad):
+    # One pair off the model's extents is a ShapeError naming it before the
+    # model is built, not a step that fails when it draws the pair.
+    import thermofuse.training
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the model was built before the pairs were checked")
+
+    monkeypatch.setattr(thermofuse.training, "build_model", no_build)
+    pairs = toy_pairs(6)
+    pairs[4] = bad
+    with pytest.raises(ShapeError, match="training pair 4 has input"):
+        train_from_pairs(CFG, pairs, 1, 2, seed=0)
+
+
+def test_training_set_is_not_copied():
+    # Each step gathers its own batch, so a larger training set adds only
+    # its pair list. Here 128 pairs are 1 MiB as stacked float32 inputs and
+    # targets; gathered per step the peak was 0.02 MiB above a 16-pair run
+    # (two steps, so both hold Adam's moments), against 1 MiB above when
+    # the set was stacked up front.
+    def peak(count):
+        pairs = toy_pairs(count)
+        tracemalloc.start()
+        try:
+            train_from_pairs(CFG, pairs, epochs=1, batch_size=8, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    stacked = 128 * 2 * 32 * 32 * np.dtype(CFG.dtype).itemsize
+    assert peak(128) - peak(16) < stacked / 4
 
 
 def test_train_from_pairs_reduces_loss(caplog):

@@ -104,6 +104,8 @@ class Block:
     ReLU, "ll" is a stride-1 conv with plain ReLU, and "final" is a stride-1
     conv with sigmoid. `layers` runs in that order; `conv` and `bn` (None
     without normalization) are the layers that hold state, in `dtype`.
+    Every model forward runs every block, so each layer's backward cache is
+    that of the latest pass: None after a `grad=False` one.
     """
 
     def __init__(
@@ -148,12 +150,6 @@ class Block:
             dout = layer.backward(dout)
         return dout
 
-    def drop_caches(self) -> None:
-        """Let go of every layer's backward cache: for a forward that does
-        not run this block, so no cache of an earlier pass outlives it."""
-        for layer in self.layers:
-            layer._cache = None
-
     def stores(self):
         """Yield ('<node>/conv', conv) and ('<node>/bn', bn): the layers
         whose arrays make up the model's state, under their name prefix."""
@@ -164,14 +160,15 @@ class Block:
 
 @dataclass
 class Node:
-    """One graph node: an input feed, a block, a channel slice or a concat.
+    """One graph node: a block, a channel slice or a concat. The image fed
+    to the graph is no node: it is read as the source named "input".
 
     `arg` and `label` are its `_rows` row's own: a block's filter count, a
     slice's channel or a concat's axis (1 rows, 2 columns, 3 channels), and
     its row in the shape audit (None for no row)."""
 
     name: str
-    op: str  # "input" | "block" | "slice" | "concat"
+    op: str  # "block" | "slice" | "concat"
     inputs: tuple[str, ...] = ()
     block: Block | None = None
     arg: int = 0
@@ -193,12 +190,7 @@ class Model:
     holds what its own backward reads and drops that cache as it runs, so
     nothing is cached when `backward` returns. `activation` and a second
     `backward` then raise StateError. A `backward` given a gradient of the
-    wrong shape raises ShapeError before it drops anything. `overrides`
-    naming anything but a non-input node raises ValidationError before any
-    block runs. A forward with `overrides` caches its activations, but its
-    `backward` raises StateError naming the injected nodes before any layer
-    runs: their blocks did not run in that pass, and their layers drop any
-    cache an earlier pass left.
+    wrong shape raises ShapeError before it drops anything.
     `gradients()` hands the gradients over: the layers let go of them, so
     they live only as long as the caller keeps the dict, and a second call
     raises StateError until the next `backward`.
@@ -211,6 +203,18 @@ class Model:
     has run, and the cache of any earlier pass is
     cleared, so `activation` and `backward` raise StateError until the
     next `grad=True` forward. `grad` is independent of `training`.
+
+    `overrides` maps node names to values that replace those nodes' outputs.
+    Every node still runs, in order (so a training pass draws the same
+    dropout masks as without overrides); an override then takes the place
+    of its node's computed output. An (h, w, c) value is repeated over the
+    batch, and one whose shape then differs from the computed output raises
+    ShapeError naming the node, before any later node runs. `overrides`
+    naming anything but a node (the input included) raises ValidationError
+    before any node runs. A forward with `overrides` caches its
+    activations, but its `backward` raises StateError naming the injected
+    nodes before any layer runs: a gradient through a replaced output would
+    be wrong.
 
     The input, any overrides and the gradient given to `backward` are cast
     to `cfg.dtype`, the dtype every layer computes in.
@@ -294,11 +298,11 @@ class Model:
         `grad=False` runs without backward caches (see the class docstring).
         """
         if overrides is not None:
-            names = {node.name for node in self.nodes if node.op != "input"}
+            names = {node.name for node in self.nodes}
             unknown = [repr(name) for name in overrides if name not in names]
             if unknown:
                 raise ValidationError(
-                    "overrides must name non-input nodes, got " + ", ".join(unknown)
+                    "overrides must name graph nodes, got " + ", ".join(unknown)
                 )
         rank = np.ndim(x)
         x = self._to_batch(x)
@@ -308,20 +312,7 @@ class Model:
         out: dict[str, np.ndarray] = {"input": x}
         audit: list[tuple[str, tuple[int, ...]]] = []
         for node in self.nodes:
-            if node.op == "input":
-                y = x
-            elif overrides is not None and node.name in overrides:
-                y = np.asarray(overrides[node.name], dtype=self.cfg.dtype)
-                if y.ndim == 3:
-                    y = np.repeat(y[None], n, axis=0)
-                if y.ndim != 4 or y.shape[0] != n:
-                    raise ShapeError(
-                        f"override for {node.name!r} has shape {y.shape}"
-                    )
-                self._injected.append(node.name)
-                if node.block is not None:
-                    node.block.drop_caches()
-            elif node.op == "block":
+            if node.op == "block":
                 y = node.block.forward(out[node.inputs[0]], training, rng, grad)
             elif node.op == "slice":
                 src = out[node.inputs[0]]
@@ -331,6 +322,17 @@ class Model:
                     y = np.concatenate([out[src] for src in node.inputs], axis=node.arg)
                 except ValueError as exc:
                     raise ShapeError(f"concat {node.name!r}: {exc}") from None
+            if overrides is not None and node.name in overrides:
+                value = np.asarray(overrides[node.name], dtype=self.cfg.dtype)
+                if value.ndim == 3:
+                    value = np.repeat(value[None], n, axis=0)
+                if value.shape != y.shape:
+                    raise ShapeError(
+                        f"override for {node.name!r} has shape {value.shape}, "
+                        f"its output {y.shape}"
+                    )
+                y = value
+                self._injected.append(node.name)
             out[node.name] = y
             if node.label is not None:
                 audit.append((node.label, tuple(y.shape[1:])))
@@ -363,12 +365,10 @@ class Model:
         shapes = {name: y.shape for name, y in self._cache.items()}
         self._cache = {}
         # Every node but the output feeds a later one, so each has its
-        # gradient by the time its turn comes; the input's comes last.
+        # gradient by the time its turn comes; the input's is what is left.
         grads: dict[str, np.ndarray] = {final: dout}
         for node in reversed(self.nodes):
             g = grads.pop(node.name)
-            if node.op == "input":
-                return _unbatched(g, rank)
             if node.op == "block":
                 self._accumulate(grads, node.inputs[0], node.block.backward(g))
             elif node.op == "slice":
@@ -380,6 +380,7 @@ class Model:
                 split = shapes[node.inputs[0]][node.arg]
                 for src, part in zip(node.inputs, np.split(g, [split], axis=node.arg)):
                     self._accumulate(grads, src, part.copy())
+        return _unbatched(grads.pop("input"), rank)
 
     @staticmethod
     def _accumulate(grads: dict, name: str, g: np.ndarray):
@@ -521,7 +522,7 @@ def build_model(cfg: ModelConfig | None = None, seed=0) -> Model:
 def _assemble(cfg: ModelConfig, rng) -> Model:
     """The network graph for `cfg`, row by row of `_rows`; convolution
     weights are drawn from `rng`, or start at zero when it is None."""
-    nodes = [Node("input", "input")]
+    nodes = []
     channels = {"input": 1}
     for name, op, inputs, arg, dropout, norm, label in _rows(cfg.dwf):
         inputs = (inputs,) if isinstance(inputs, str) else inputs

@@ -279,8 +279,10 @@ def correlate(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     n, h, wd, c = x.shape
     src = _tap_source(x, stride)
     out_h, out_w, f = h // stride, wd // stride, w.shape[3]
-    y = np.zeros((n, out_h, out_w, f), dtype=np.result_type(x, w))
-    if c == 1 and stride == 1:
+    # `_plane_sum` writes every element; the GEMM bands add into zeros.
+    planes = c == 1 and stride == 1
+    y = (np.empty if planes else np.zeros)((n, out_h, out_w, f), dtype=np.result_type(x, w))
+    if planes:
         taps = [((i, j), w[i, j, 0]) for i in range(KERNEL) for j in range(KERNEL)]
         _plane_sum(src, taps, y)
         return y
@@ -571,18 +573,15 @@ class SigmoidLayer(_Pointwise):
         return dout * y * (1.0 - y)
 
 
-# DropoutLayer's cache after an inference-mode `grad=True` forward: the
-# pending backward is the identity.
-_IDENTITY = object()
-
-
 class DropoutLayer(_Pointwise):
     """Inverted dropout: zero with probability DROPOUT_RATE, scale survivors
-    by 1/(1-DROPOUT_RATE) in training mode; identity in inference mode."""
+    by 1/(1-DROPOUT_RATE) in training mode; identity in inference mode. The
+    cache is the mask backward multiplies by: in inference mode the Python
+    int 1, which keeps `dout`'s dtype and values."""
 
     def _forward(self, x, training, rng, grad, out):
         if not training:
-            return x, _IDENTITY
+            return x, 1
         if rng is None:
             raise StateError("dropout in training mode needs an rng")
         # float64 draws in every dtype, so the random stream is dtype-free.
@@ -591,6 +590,4 @@ class DropoutLayer(_Pointwise):
         return np.multiply(x, mask, out=out), mask
 
     def _backward(self, dout, mask):
-        if mask is _IDENTITY:
-            return dout
         return dout * mask

@@ -14,21 +14,37 @@ import numpy as np
 RECORDED_UNDER = "SkylakeX"
 
 
-def blas_kernel() -> str:
-    """The kernel name numpy's bundled OpenBLAS reports
-    (`scipy_openblas_get_corename64_`), or "unknown" where that library is
-    absent."""
+def _openblas(function: str):
+    """`function` of numpy's bundled OpenBLAS through ctypes, or None where
+    that library is absent."""
     root = Path(np.__file__).parent
     libs = [*root.parent.glob("numpy.libs/libscipy_openblas*"),
             *root.glob(".dylibs/libscipy_openblas*")]
     for lib in sorted(libs):
         try:
-            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+            return getattr(ctypes.CDLL(str(lib)), function)
         except (OSError, AttributeError):
             continue
-        corename.restype = ctypes.c_char_p
-        return corename().decode()
-    return "unknown"
+    return None
+
+
+def blas_kernel() -> str:
+    """The kernel name numpy's bundled OpenBLAS reports
+    (`scipy_openblas_get_corename64_`), or "unknown" where that library is
+    absent."""
+    corename = _openblas("scipy_openblas_get_corename64_")
+    if corename is None:
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def blas_threads() -> int | None:
+    """The thread count numpy's bundled OpenBLAS runs with
+    (`scipy_openblas_get_num_threads64_`), or None where that library is
+    absent."""
+    num_threads = _openblas("scipy_openblas_get_num_threads64_")
+    return None if num_threads is None else num_threads()
 
 
 def blas_note() -> str:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import thermofuse
+from blas_kernel import blas_threads
 from thermofuse import ThermofuseError
 from thermofuse.cli import _THREAD_VARS, _TRAIN_SETTINGS, _train_settings, build_parser, main
 from thermofuse.datakit import read_pgm, write_pgm
@@ -416,6 +417,28 @@ def test_thread_count_overrides_variables_already_set():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert run.stdout.split() == ["1"] * len(_THREAD_VARS)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_thread_count_reaches_the_blas(count):
+    # Imported before numpy, thermofuse.cli sets the thread variables that
+    # numpy's OpenBLAS reads as it loads; with numpy loaded first they come
+    # too late, which is the documented limit.
+    if blas_threads() is None:
+        pytest.skip("numpy's bundled OpenBLAS is absent")
+    if (os.cpu_count() or 1) < count:
+        pytest.skip(f"OpenBLAS runs at most one thread per core, and {count} are asked")
+    tests = Path(__file__).parent
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([str(Path(thermofuse.__file__).parents[1]), str(tests)]),
+        "THERMOFUSE_THREADS": str(count),
+    }
+    code = "import thermofuse.cli; from blas_kernel import blas_threads; print(blas_threads())"
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.split() == [str(count)]
 
 
 @pytest.mark.parametrize("value", ["one", "0", "-1", "1.5", " 2", "\u00b2"])

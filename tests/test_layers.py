@@ -358,8 +358,10 @@ def test_empty_batch_or_extent_gives_empty_arrays(shape, c, f):
 
 
 def test_kernels_and_conv_layers_return_contiguous_arrays():
-    # The stride-2 adjoint interleaves its phase planes into a fresh dx and
-    # the stride-1 one adds into an unpadded one: neither returns a crop.
+    # The adjoint adds into the padded tap source and copies that source's
+    # inside into a fresh dx (the stride-2 one interleaving its phase
+    # planes), and with one filter at stride 1 the planes write dx
+    # directly: none returns a crop.
     rng = np.random.default_rng(4)
     x = rng.normal(size=(2, 6, 8, 3))
     kernel = rng.normal(size=(KERNEL, KERNEL, 3, 5))

@@ -480,21 +480,69 @@ def test_backward_keeps_shapes_not_activations(monkeypatch):
 
 @pytest.mark.parametrize("grad", [True, False])
 def test_override_forward_drops_the_injected_blocks_caches(grad):
-    # A grad=True pass fills every layer's cache; the override pass skips
-    # hl1's block, so its layers must let go of that pass's caches.
+    # A grad=True pass fills every layer's cache. The override pass still
+    # runs every block, hl1's included, so no layer keeps a cache of the
+    # earlier pass: with grad each holds this pass's, without none is kept.
     model = small_model()
     rng = np.random.default_rng(15)
     model.forward(rng.uniform(size=(32, 32)), training=True, rng=rng)
-    node = next(n for n in model.nodes if n.name == "hl1")
-    caches = lambda block: [layer._cache for layer in block.layers]
-    assert all(c is not None for c in caches(node.block))
+    layers = [layer for n in model.nodes if n.block is not None for layer in n.block.layers]
+    earlier = [layer._cache for layer in layers]
+    assert all(c is not None for c in earlier)
     model.forward(
         rng.uniform(size=(32, 32)), overrides={"hl1": np.full((16, 16, 1), 0.5)},
         grad=grad,
     )
-    assert all(c is None for c in caches(node.block))
-    others = [n.block for n in model.nodes if n.block is not None and n is not node]
-    assert all(c is not None for b in others for c in caches(b)) == grad
+    if grad:
+        assert all(layer._cache is not None and layer._cache is not c
+                   for layer, c in zip(layers, earlier))
+        hl1 = next(n.block for n in model.nodes if n.name == "hl1")
+        assert hl1.conv._cache is model.activation("hl1_5")
+    else:
+        assert all(layer._cache is None for layer in layers)
+
+
+def test_override_must_match_the_output_it_replaces(monkeypatch):
+    # A (16, 16, 4) op2_13 has the rank and batch of a valid value, but a
+    # 32x32 dwf=1 model's op2_13 is (1, 32, 32, 4): the output block would
+    # otherwise return a 16x16 mask. It is refused before that block runs.
+    model = small_model()
+    ran = []
+    block_forward = Block.forward
+
+    def spied(self, *args):
+        ran.append(self.name)
+        return block_forward(self, *args)
+
+    monkeypatch.setattr(Block, "forward", spied)
+    with pytest.raises(ShapeError, match=r"'op2_13'.*\(1, 16, 16, 4\).*\(1, 32, 32, 4\)"):
+        model.forward(np.zeros((32, 32)), overrides={"op2_13": np.zeros((16, 16, 4))})
+    assert ran[-1] == "op2_13"
+    for over in ({"hl1": np.zeros((4, 4, 1))}, {"d1": np.zeros((4, 4, 8))}):
+        with pytest.raises(ShapeError, match=f"override for {next(iter(over))!r}"):
+            model.forward(np.zeros((32, 32)), overrides=over)
+
+
+def test_training_override_pass_draws_the_same_dropout_masks():
+    # The replaced d1 block still runs and draws its mask, so every later
+    # block's mask is the one a pass without overrides draws.
+    model = small_model()
+    x = np.random.default_rng(16).uniform(size=(2, 32, 32, 1))
+    dropouts = [layer for n in model.nodes if n.block is not None
+                for layer in n.block.layers if isinstance(layer, DropoutLayer)]
+    model.forward(x, training=True, rng=np.random.default_rng(6))
+    want = [layer._cache for layer in dropouts]
+    over = {"d1": np.zeros((2, 8, 8, 16))}
+    model.forward(x, training=True, rng=np.random.default_rng(6), overrides=over)
+    assert all(np.array_equal(layer._cache, m) for layer, m in zip(dropouts, want))
+
+
+def test_nodes_are_blocks_slices_and_concats():
+    # The image fed to the graph is a source name, not a node of its own.
+    model = small_model()
+    assert [node.name for node in model.nodes] == [row[0] for row in model_module._rows(1)]
+    assert {node.op for node in model.nodes} == {"block", "slice", "concat"}
+    assert all((node.block is not None) == (node.op == "block") for node in model.nodes)
 
 
 def test_no_grad_forward_keeps_nothing_for_backward():

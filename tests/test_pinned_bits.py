@@ -13,6 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from thermofuse.cli import main
 from thermofuse.datakit import synth_pairs
 from thermofuse.fusion import compute_mask
 from thermofuse.model import ModelConfig, _weights_chunks, build_model
@@ -37,6 +38,11 @@ MASK_DIGEST = "dfa1cb9367766f904994cae457b7502b179f27c88bba5364a415c3b32a5ec7a0"
 # from four seeded 192x192 samples. At 96 the bilinear weights are not all
 # dyadic, so a change in the order of the blend moves these bytes.
 CROP_DIGEST = "8f58daa490c14e3b16e3089970ed668b810347110e737e57e58680a49d0ece29"
+# The command-line chain `synth --count 3 --seed 9`, then `train --seed 5
+# --epochs 2 --dwf 1 --crop-size 32 --per-box 2 --loss-csv`: crop, train
+# and save, as files. sha256 of the loss CSV and of the weights file.
+CLI_LOSS_CSV = "ea6b67eb3f5e3442a17b0e6e356c4a127594394b4f06b28802ddfcf99602a402"
+CLI_WEIGHTS = "b44f4c32abdeaa1ab58da665871e0f8bbba551374bebd290f709cb8479076a57"
 
 
 def weights_digest(model) -> str:
@@ -75,3 +81,15 @@ def test_crop_bits_are_pinned():
         h.update(pair.target.tobytes())
     assert len(pairs) == 18
     assert h.hexdigest() == CROP_DIGEST
+
+
+def test_cli_training_chain_bits_are_pinned(tmp_path):
+    data, weights, csv = tmp_path / "data", tmp_path / "w.tofw", tmp_path / "loss.csv"
+    assert main(["synth", "--count", "3", "--seed", "9", "--out", str(data)]) == 0
+    assert main([
+        "train", str(data / "annotations.json"), "--out", str(weights),
+        "--seed", "5", "--epochs", "2", "--dwf", "1", "--crop-size", "32",
+        "--per-box", "2", "--loss-csv", str(csv),
+    ]) == 0
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == CLI_LOSS_CSV, blas_note()
+    assert hashlib.sha256(weights.read_bytes()).hexdigest() == CLI_WEIGHTS, blas_note()
